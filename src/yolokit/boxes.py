@@ -16,6 +16,14 @@ import numpy as np
 
 def sigmoid(x):
     """Logistic function, overflow-safe on both tails. Scalar or ndarray."""
+    if isinstance(x, (int, float, np.integer, np.floating)):
+        # the array path's two branches on one np.float64, without its
+        # asarray/clip/where overhead; the results are bit-identical
+        v = np.float64(x)
+        if v >= 0.0:
+            return float(1.0 / (1.0 + np.exp(-v)))
+        ex = np.exp(v)
+        return float(ex / (1.0 + ex))
     arr = np.asarray(x, dtype=np.float64)
     # two-branch form avoids exp overflow for large negative inputs
     pos = 1.0 / (1.0 + np.exp(-np.clip(arr, 0.0, None)))
@@ -153,13 +161,23 @@ def iou(a: BoxCorner, b: BoxCorner) -> float:
     return inter / union
 
 
-def iou_one_to_many(box: BoxCorner, x_min: np.ndarray, y_min: np.ndarray,
-                    x_max: np.ndarray, y_max: np.ndarray) -> np.ndarray:
-    """IoU of one box against parallel corner arrays (same math as iou)."""
-    ix = np.minimum(box.x_max, x_max) - np.maximum(box.x_min, x_min)
-    iy = np.minimum(box.y_max, y_max) - np.maximum(box.y_min, y_min)
+def iou_one_to_many(box: BoxCorner | tuple, x_min: np.ndarray,
+                    y_min: np.ndarray, x_max: np.ndarray,
+                    y_max: np.ndarray) -> np.ndarray:
+    """IoU of `box` against parallel corner arrays (same math as iou).
+
+    `box` is a BoxCorner or an (x_min, y_min, x_max, y_max) tuple whose
+    entries broadcast against the arrays, so column vectors give the IoU
+    matrix of a block of boxes against many.
+    """
+    if isinstance(box, BoxCorner):
+        box = (box.x_min, box.y_min, box.x_max, box.y_max)
+    b_x_min, b_y_min, b_x_max, b_y_max = box
+    ix = np.minimum(b_x_max, x_max) - np.maximum(b_x_min, x_min)
+    iy = np.minimum(b_y_max, y_max) - np.maximum(b_y_min, y_min)
     inter = np.where((ix > 0.0) & (iy > 0.0), ix * iy, 0.0)
-    union = box.area + (x_max - x_min) * (y_max - y_min) - inter
+    union = ((b_x_max - b_x_min) * (b_y_max - b_y_min)
+             + (x_max - x_min) * (y_max - y_min) - inter)
     out = np.zeros_like(inter)
     np.divide(inter, union, out=out, where=union > 0.0)
     return out

@@ -1,10 +1,17 @@
 """Head extraction, scoring, suppression and the single-frame pipeline."""
 
+import itertools
 import json
+import os
+import platform
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from yolokit import postprocess
 from yolokit.boxes import Anchor, BoxCorner, BoxNorm, iou, norm_to_corner
 from yolokit.postprocess import (Detection, DetectConfig, NmsConfig,
                                  detect_frame, detections_to_json,
@@ -21,12 +28,6 @@ SCALE_ANCHORS = (Anchor(12, 16), Anchor(19, 36), Anchor(40, 28))
 NINE_ANCHORS = (Anchor(12, 16), Anchor(19, 36), Anchor(40, 28),
                 Anchor(36, 75), Anchor(76, 55), Anchor(72, 146),
                 Anchor(142, 110), Anchor(192, 243), Anchor(459, 401))
-
-
-def random_heads(rng, input_n, num_classes, loc=0.0, scale=2.0):
-    return tuple(
-        Tensor(rng.normal(loc, scale, (g, g, 3 * (5 + num_classes))))
-        for g in (input_n // 8, input_n // 16, input_n // 32))
 
 
 # ---------------------------------------------------------------------------
@@ -202,6 +203,44 @@ def test_nms_matches_brute_force_on_random_instances():
         assert [dets[i] for i in want] == kept
 
 
+@st.composite
+def nms_instances(draw):
+    """Random detections on an integer grid (zero extents and exact IoU
+    ties included), confidences rounded to tenths so ties occur."""
+    dets = []
+    for _ in range(draw(st.integers(0, 60))):
+        x, y = draw(st.integers(0, 60)), draw(st.integers(0, 60))
+        w, h = draw(st.integers(0, 30)), draw(st.integers(0, 30))
+        dets.append(make_detection(
+            (x, y, x + w, y + h), draw(st.integers(0, 10)) / 10,
+            class_id=draw(st.integers(0, 2)),
+            objectness=draw(st.floats(0.0, 1.0)), class_score=1.0))
+    config = NmsConfig(
+        objectness_threshold=draw(st.sampled_from([0.0, 0.25, 0.5])),
+        iou_threshold=draw(st.sampled_from([0.0, 0.2, 0.45, 0.9, 1.0])),
+        per_class=draw(st.booleans()),
+        use_raw_objectness=draw(st.booleans()))
+    return dets, config
+
+
+@settings(deadline=None)
+@given(nms_instances(), st.sampled_from([1, 64, 512, 1 << 15]))
+def test_nms_blocks_match_brute_force(instance, block_elements):
+    """Blocks of one row, a few rows, many rows and all rows suppress
+    exactly as the one-pop-at-a-time oracle."""
+    dets, config = instance
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(postprocess, "_NMS_BLOCK_ELEMENTS", block_elements)
+        kept = nms(dets, config)
+    want = nms_ref(
+        [(d.box.x_min, d.box.y_min, d.box.x_max, d.box.y_max) for d in dets],
+        [d.confidence for d in dets], [d.class_id for d in dets],
+        [d.objectness for d in dets],
+        config.objectness_threshold, config.iou_threshold,
+        config.per_class, config.use_raw_objectness)
+    assert [dets[i] for i in want] == kept
+
+
 def test_nms_empty():
     assert nms([], NmsConfig()) == []
 
@@ -220,23 +259,48 @@ def test_two_stage_filter():
 # ---------------------------------------------------------------------------
 # full frame
 
-def test_detect_frame_equals_staged_pipeline():
+@pytest.fixture(scope="module")
+def gated_frame():
+    """Heads of a 128 px frame (1,008 slots) with exact confidence ties
+    and saturated slots, and their scores through the list path."""
     rng = np.random.default_rng(42)
-    heads = random_heads(rng, 64, 4)
-    config = DetectConfig(nms=NmsConfig(objectness_threshold=0.2,
-                                        iou_threshold=0.5),
-                          confidence_floor=0.3)
-    names = ["a", "b", "c", "d"]
-    fast = detect_frame(heads, NINE_ANCHORS, config, names)
-
+    arrays = [rng.normal(0.0, 2.0, (g, g, 3 * 9)) for g in (16, 8, 4)]
+    for arr in arrays:
+        slots = arr.reshape(-1, 9)
+        # copied scores at other slots tie their confidences exactly
+        src, dst = rng.integers(0, len(slots), (2, 16))
+        slots[dst, 4:] = slots[src, 4:]
+        # sigmoid(40) == 1.0, so these survive objectness_threshold 1
+        slots[rng.integers(0, len(slots), 4), 4:6] = 40.0
+    heads = tuple(Tensor(arr) for arr in arrays)
     raws = []
     for scale, head in enumerate(heads):
         raws.extend(extract_predictions(
-            head, NINE_ANCHORS[scale * 3:scale * 3 + 3], 4, 64, scale))
-    staged = two_stage_filter(
-        nms(score_predictions(raws, names), config.nms),
-        config.confidence_floor)
+            head, NINE_ANCHORS[scale * 3:scale * 3 + 3], 4, 128, scale))
+    return heads, score_predictions(raws, ["a", "b", "c", "d"])
+
+
+@pytest.mark.parametrize(
+    "threshold,raw_objectness,per_class,iou_threshold,floor",
+    itertools.product((0.0, 0.25, 1.0), (False, True), (False, True),
+                      (0.0, 0.45, 1.0), (0.0, 0.5)))
+def test_detect_frame_equals_staged_pipeline(gated_frame, threshold,
+                                             raw_objectness, per_class,
+                                             iou_threshold, floor):
+    heads, scored = gated_frame
+    config = DetectConfig(
+        nms=NmsConfig(objectness_threshold=threshold,
+                      iou_threshold=iou_threshold, per_class=per_class,
+                      use_raw_objectness=raw_objectness),
+        confidence_floor=floor)
+    fast = detect_frame(heads, NINE_ANCHORS, config, ["a", "b", "c", "d"])
+    staged = two_stage_filter(nms(scored, config.nms),
+                              config.confidence_floor)
     assert fast == staged
+    if threshold < 1.0:
+        # more candidates than fit in one NMS block
+        gated = sum(d.confidence >= threshold for d in scored)
+        assert gated ** 2 > postprocess._NMS_BLOCK_ELEMENTS
 
 
 def test_detect_frame_hot_cell_yields_single_detection():
@@ -273,6 +337,38 @@ def test_detect_frame_validation():
     good = [Tensor.zeros(8, 8, 24), Tensor.zeros(4, 4, 24), Tensor.zeros(2, 2, 24)]
     with pytest.raises(ShapeError):
         detect_frame(good, NINE_ANCHORS[:6], DetectConfig(), ["a", "b", "c"])
+
+
+# Fresh interpreter: page faults of touching a 24 MiB array, then of
+# touching a second one after the first is freed.
+FAULT_PROBE = """
+import resource
+import numpy as np
+import yolokit
+
+def faults_of_touch():
+    start = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    a = np.ones(3 << 20)
+    del a
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - start
+
+print(faults_of_touch(), faults_of_touch())
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                    reason="malloc thresholds are pinned on glibc only")
+def test_import_keeps_freed_frame_arrays_in_the_heap():
+    # glibc's dynamic rule would unmap the first array and grow the heap
+    # anew for the second; pinned thresholds reuse the first one's pages
+    src = os.path.dirname(os.path.dirname(postprocess.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", FAULT_PROBE], env=env,
+                         stdout=subprocess.PIPE, check=True, timeout=60)
+    first, second = map(int, out.stdout.split())
+    assert first > 0
+    assert second * 4 < first
 
 
 # ---------------------------------------------------------------------------
