@@ -15,21 +15,20 @@ import numpy as np
 
 
 def sigmoid(x):
-    """Logistic function, overflow-safe on both tails. Scalar or ndarray."""
+    """Logistic function, overflow-safe on both tails. Scalar or ndarray.
+
+    With e = exp(-|x|), which never overflows, the result is 1 / (1 + e)
+    for x >= 0 and e / (1 + e) otherwise.
+    """
     if isinstance(x, (int, float, np.integer, np.floating)):
-        # the array path's two branches on one np.float64, without its
-        # asarray/clip/where overhead; the results are bit-identical
+        # the array path's steps without its overhead: bit-identical
         v = np.float64(x)
-        if v >= 0.0:
-            return float(1.0 / (1.0 + np.exp(-v)))
-        ex = np.exp(v)
-        return float(ex / (1.0 + ex))
+        e = np.exp(-abs(v))
+        return float((1.0 if v >= 0.0 else e) / (1.0 + e))
     arr = np.asarray(x, dtype=np.float64)
-    # two-branch form avoids exp overflow for large negative inputs
-    pos = 1.0 / (1.0 + np.exp(-np.clip(arr, 0.0, None)))
-    ex = np.exp(np.clip(arr, None, 0.0))
-    neg = ex / (1.0 + ex)
-    out = np.where(arr >= 0.0, pos, neg)
+    e = np.exp(-np.abs(arr))
+    out = np.where(arr >= 0.0, 1.0, e)
+    out /= 1.0 + e
     if np.isscalar(x) or arr.ndim == 0:
         return float(out)
     return out

@@ -13,9 +13,6 @@ import re
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-KNOWN_KINDS = ("net", "convolutional", "shortcut", "route", "maxpool",
-               "upsample", "yolo")
-
 _HEADER_RE = re.compile(r"^\[([^\[\]]+)\]$")
 
 

@@ -117,10 +117,10 @@ def parse_run_config(text: str) -> RunConfig:
         value = value.strip()
         if key in values:
             raise ValueError(f"config line {lineno}: duplicate key {key!r}")
-        values[key] = value
+        values[key] = (lineno, value)
 
     kwargs = {}
-    for key, value in values.items():
+    for key, (lineno, value) in values.items():
         if key == "input_n":
             kwargs["input_n"] = int(value)
         elif key == "classes":
@@ -134,6 +134,9 @@ def parse_run_config(text: str) -> RunConfig:
         elif key in ("objectness_threshold", "iou_threshold", "confidence_floor"):
             kwargs[key] = float(value)
         elif key == "per_class_nms":
+            if value.lower() not in ("0", "1", "false", "true", "no", "yes"):
+                raise ValueError(f"config line {lineno}: per_class_nms must "
+                                 f"be 0/1/true/false/yes/no, got {value!r}")
             kwargs["per_class_nms"] = value.lower() in ("1", "true", "yes")
         elif key == "rotations":
             kwargs["rotations"] = tuple(float(v) for v in value.split(",")) if value else ()
@@ -559,6 +562,8 @@ def main(argv=None) -> int:
     if args.command == "detect" and not args.dump_config:
         if not args.heads or not args.classes:
             parser.error("detect requires --heads and --classes")
+    if args.command == "bench" and args.frames < 1:
+        parser.error(f"bench --frames must be at least 1, got {args.frames}")
     if args.command == "eval":
         try:
             args.scenario = int(args.scenario)

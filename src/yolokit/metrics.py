@@ -6,13 +6,20 @@ pairs, one pair per image. Matching is greedy in descending confidence
 (ties to the lower original index); each detection may claim at most one
 unmatched same-class ground truth, preferring the highest IoU at or above
 the threshold (IoU ties to the lower ground-truth index).
+
+AP and mAP match each image once per IoU threshold, all classes together,
+and split the ranked true-positive flags by class afterwards; matching
+never pairs different classes, so each class gets the flags it would alone.
 """
 
 from __future__ import annotations
 
 import json
+from collections import Counter, defaultdict
 from dataclasses import dataclass, replace
 from typing import Sequence
+
+import numpy as np
 
 from .boxes import BoxCorner, iou
 from .postprocess import Detection
@@ -109,21 +116,36 @@ def match_detections(dets: Sequence[Detection], gts: Sequence[GroundTruth],
     return MatchResult(entries, tuple(taken))
 
 
-def _ranked_flags(samples, class_id: int, iou_threshold: float):
-    """Dataset-wide confidence-ranked TP flags for one class, plus the
-    ground-truth count. Rank ties break by (image index, detection index)."""
+def _ranked_flags(samples, iou_threshold: float):
+    """Dataset-wide confidence-ranked TP flags per class, plus the
+    ground-truth count per class. Rank ties break by (image index,
+    detection index)."""
     ranked = []
-    total_gt = 0
+    total_gt = Counter()
     for img_idx, (dets, gts) in enumerate(samples):
-        dets_c = [d for d in dets if d.class_id == class_id]
-        gts_c = [g for g in gts if g.class_id == class_id]
-        total_gt += len(gts_c)
-        result = match_detections(dets_c, gts_c, iou_threshold)
+        total_gt.update(g.class_id for g in gts)
+        result = match_detections(dets, gts, iou_threshold)
         for det_idx, entry in enumerate(result.entries):
-            ranked.append((entry.detection.confidence, img_idx, det_idx,
+            ranked.append((-entry.detection.confidence, img_idx, det_idx,
+                           entry.detection.class_id,
                            entry.gt_index is not None))
-    ranked.sort(key=lambda r: (-r[0], r[1], r[2]))
-    return [r[3] for r in ranked], total_gt
+    ranked.sort()
+    flags = defaultdict(list)
+    for *_, class_id, is_tp in ranked:
+        flags[class_id].append(is_tp)
+    return flags, total_gt
+
+
+def _interpolated_ap(flags, total_gt: int) -> float:
+    """101-point interpolated AP of one class's ranked TP flags."""
+    tp = np.cumsum(flags)
+    recall = tp / total_gt
+    precision = tp / np.arange(1, tp.size + 1)
+    # best precision at any recall >= r, for every rank, plus 0 past the end
+    envelope = np.append(np.maximum.accumulate(precision[::-1])[::-1], 0.0)
+    best = envelope[np.searchsorted(recall, np.arange(101) / 100.0)]
+    # cumsum adds left to right, unlike np.sum's pairwise sum
+    return float(np.cumsum(best)[-1]) / 101.0
 
 
 def average_precision(samples, class_id: int, iou_threshold: float) -> float:
@@ -134,29 +156,10 @@ def average_precision(samples, class_id: int, iou_threshold: float) -> float:
     0, 0.01, ..., 1.00 is the maximum precision at any recall >= it.
     Raises ValueError when the class has no ground truth.
     """
-    flags, total_gt = _ranked_flags(samples, class_id, iou_threshold)
-    if total_gt == 0:
+    flags, total_gt = _ranked_flags(samples, iou_threshold)
+    if total_gt[class_id] == 0:
         raise ValueError(f"class {class_id} has no ground truth")
-    if not flags:
-        return 0.0
-    points = []
-    tp = 0
-    fp = 0
-    for is_tp in flags:
-        if is_tp:
-            tp += 1
-        else:
-            fp += 1
-        points.append((tp / total_gt, tp / (tp + fp)))
-    total = 0.0
-    for k in range(101):
-        r = k / 100.0
-        best = 0.0
-        for recall, precision in points:
-            if recall >= r and precision > best:
-                best = precision
-        total += best
-    return total / 101.0
+    return _interpolated_ap(flags[class_id], total_gt[class_id])
 
 
 def map_50_95(samples) -> EvalReport:
@@ -165,10 +168,11 @@ def map_50_95(samples) -> EvalReport:
     classes = sorted({g.class_id for _, gts in samples for g in gts})
     if not classes:
         raise ValueError("dataset has no ground truth")
-    per_class = {
-        c: {t: average_precision(samples, c, t) for t in IOU_THRESHOLDS}
-        for c in classes
-    }
+    per_class = {c: {} for c in classes}
+    for t in IOU_THRESHOLDS:
+        flags, total_gt = _ranked_flags(samples, t)
+        for c in classes:
+            per_class[c][t] = _interpolated_ap(flags[c], total_gt[c])
     per_threshold = [
         sum(per_class[c][t] for c in classes) / len(classes)
         for t in IOU_THRESHOLDS

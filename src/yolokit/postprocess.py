@@ -8,7 +8,9 @@ floor. The list functions (`extract_predictions`, `score_predictions`,
 composes all four over the three scales on arrays and produces results
 identical to running the list functions in sequence.
 
-Both paths score through one function and suppress through one engine.
+Both paths read a head through one slot table: one row of fields per
+anchor slot, and that slot's grid row, column, stride and anchor size.
+They score through one function and suppress through one engine.
 `detect_frame` first takes the sigmoid objectness of every slot and
 scores, decodes and suppresses only the slots that reach the drop
 threshold. The gate is exact: class scores are at most 1, so a slot's
@@ -28,6 +30,7 @@ import numpy as np
 
 from .boxes import (BoxCorner, RawPrediction, iou_one_to_many,
                     responsible_cell, sigmoid)
+from .cfg import grid_sizes
 from .tensor import ShapeError, Tensor
 
 
@@ -83,10 +86,10 @@ class DetectConfig:
 
 
 def _head_fields(head: Tensor, num_classes: int):
-    """View a head tensor as per-slot field arrays.
+    """View a head tensor as one row per anchor slot.
 
     Returns (grid_n, fields) where fields has shape
-    (grid_n*grid_n, 3, 5 + C): channel layout per anchor slot is
+    (grid_n*grid_n*3, 5 + C), cell-major slot-minor, and each row is
     [t_x, t_y, t_w, t_h, objectness, class_0 .. class_{C-1}].
     """
     if head.height != head.width:
@@ -98,7 +101,17 @@ def _head_fields(head: Tensor, num_classes: int):
             f"head has {head.channels} channels; {num_classes} classes "
             f"requires 3*(4+1+{num_classes}) = {expect}")
     grid_n = head.height
-    return grid_n, head.data.reshape(grid_n * grid_n, 3, per_slot)
+    return grid_n, head.data.reshape(grid_n * grid_n * 3, per_slot)
+
+
+def _slot_geometry(index, grid_n: int, input_n: int, anchors):
+    """Grid rows, columns, strides and anchor widths and heights of the
+    `_head_fields` rows at `index` of one scale with priors `anchors`."""
+    cell, slot = np.divmod(index, 3)
+    rows, cols = np.divmod(cell, grid_n)
+    return (rows, cols, np.full(index.size, input_n / grid_n),
+            np.array([a.p_w for a in anchors])[slot],
+            np.array([a.p_h for a in anchors])[slot])
 
 
 def extract_predictions(head: Tensor, anchors, num_classes: int,
@@ -112,20 +125,15 @@ def extract_predictions(head: Tensor, anchors, num_classes: int,
     if len(anchors) != 3:
         raise ShapeError(f"need exactly 3 anchors per scale, got {len(anchors)}")
     grid_n, fields = _head_fields(head, num_classes)
-    out: list[RawPrediction] = []
-    for idx in range(grid_n * grid_n):
-        cell = (idx // grid_n, idx % grid_n)
-        for slot in range(3):
-            vec = fields[idx, slot]
-            out.append(RawPrediction(
-                t_x=float(vec[0]), t_y=float(vec[1]),
-                t_w=float(vec[2]), t_h=float(vec[3]),
-                objectness_logit=float(vec[4]),
-                class_logits=tuple(float(v) for v in vec[5:]),
-                cell=cell, scale_index=scale_index,
-                anchor=anchors[slot], grid_n=grid_n, input_n=input_n,
-            ))
-    return out
+    rows, cols, *_ = _slot_geometry(np.arange(fields.shape[0]), grid_n,
+                                    input_n, anchors)
+    return [RawPrediction(
+        t_x=vec[0], t_y=vec[1], t_w=vec[2], t_h=vec[3],
+        objectness_logit=vec[4], class_logits=tuple(vec[5:]),
+        cell=(row, col), scale_index=scale_index,
+        anchor=anchors[i % 3], grid_n=grid_n, input_n=input_n,
+    ) for i, (vec, row, col) in enumerate(zip(
+        fields.tolist(), rows.tolist(), cols.tolist()))]
 
 
 def _score_arrays(objectness, fields, rows, cols, strides, p_w, p_h,
@@ -187,11 +195,9 @@ def score_predictions(raws: list[RawPrediction],
             raise ShapeError("predictions mix different input sizes")
     fields = np.array([(r.t_x, r.t_y, r.t_w, r.t_h, r.objectness_logit,
                         *r.class_logits) for r in raws])
-    rows = np.array([r.cell[0] for r in raws], dtype=np.float64)
-    cols = np.array([r.cell[1] for r in raws], dtype=np.float64)
-    strides = np.array([r.input_n / r.grid_n for r in raws])
-    p_w = np.array([r.anchor.p_w for r in raws])
-    p_h = np.array([r.anchor.p_h for r in raws])
+    rows, cols, strides, p_w, p_h = np.array([
+        (*r.cell, r.input_n / r.grid_n, r.anchor.p_w, r.anchor.p_h)
+        for r in raws], dtype=np.float64).T
 
     objectness = sigmoid(fields[:, 4])
     class_id, class_score, confidence, corners = _score_arrays(
@@ -304,27 +310,18 @@ def detect_frame(heads, anchors, config: DetectConfig,
             raise ShapeError(
                 f"scale {scale} grid {head.height} inconsistent with input "
                 f"{input_n} (expected {input_n // stride})")
-        grid_n, fields = _head_fields(head, num_classes)
-        scales.append((grid_n, fields.reshape(-1, 5 + num_classes)))
+        scales.append(_head_fields(head, num_classes))
 
-    objectness = sigmoid(np.concatenate([flat[:, 4] for _, flat in scales]))
+    objectness = sigmoid(np.concatenate([fields[:, 4] for _, fields in scales]))
     live = np.flatnonzero(objectness >= config.nms.objectness_threshold)
     parts = []
     start = 0
-    for scale, (grid_n, flat) in enumerate(scales):
-        stop = start + flat.shape[0]
+    for scale, (grid_n, fields) in enumerate(scales):
+        stop = start + fields.shape[0]
         index = live[np.searchsorted(live, start):
                      np.searchsorted(live, stop)] - start
-        cell, slot = np.divmod(index, 3)
-        scale_anchors = anchors[scale * 3:scale * 3 + 3]
-        parts.append((
-            flat[index],
-            (cell // grid_n).astype(np.float64),
-            (cell % grid_n).astype(np.float64),
-            np.full(index.size, input_n / grid_n),
-            np.array([a.p_w for a in scale_anchors])[slot],
-            np.array([a.p_h for a in scale_anchors])[slot],
-        ))
+        parts.append((fields[index], *_slot_geometry(
+            index, grid_n, input_n, anchors[scale * 3:scale * 3 + 3])))
         start = stop
     fields, rows, cols, strides, p_w, p_h = (
         np.concatenate(column) for column in zip(*parts))
@@ -357,14 +354,11 @@ def ground_truth_heads(labels, num_classes: int, input_n: int,
     anchors = tuple(anchors)
     if len(anchors) != 9:
         raise ShapeError(f"need 9 anchors, got {len(anchors)}")
-    if input_n % 32 != 0 or input_n <= 0:
-        raise ValueError(f"input {input_n} is not a positive multiple of 32")
-    grids = (input_n // 8, input_n // 16, input_n // 32)
+    grids = grid_sizes(input_n)
     per_slot = 5 + num_classes
     arrays = [np.zeros((g, g, 3 * per_slot)) for g in grids]
-    for arr, g in zip(arrays, grids):
-        view = arr.reshape(g * g, 3, per_slot)
-        view[:, :, 4:] = -_HOT_LOGIT
+    for arr in arrays:
+        arr.reshape(-1, per_slot)[:, 4:] = -_HOT_LOGIT
 
     def logit(p: float) -> float:
         p = min(max(p, 1e-6), 1.0 - 1e-6)

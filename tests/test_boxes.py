@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from yolokit.boxes import (Anchor, BoxCorner, BoxNorm, RawPrediction,
                            corner_to_norm, decode_box, decode_center, iou,
@@ -40,12 +41,20 @@ def test_sigmoid_no_overflow_on_tails():
     assert not np.isnan(arr).any()
 
 
-def test_sigmoid_array_matches_scalar():
+@settings(deadline=None)
+@given(st.lists(st.floats(), max_size=40))
+def test_sigmoid_array_matches_scalar(drawn):
+    """Bit for bit, NaN matching NaN, on signed zeros, infinities, NaN,
+    subnormals and magnitudes up to the largest float."""
     rng = np.random.default_rng(42)
-    xs = rng.normal(0.0, 5.0, 100)
+    edges = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324,
+             2.2e-308, -2.2e-308, 745.0, -745.0, 1e308, -1e308]
+    xs = np.concatenate([rng.normal(0.0, 5.0, 100), edges, drawn])
     arr = sigmoid(xs)
     for i, x in enumerate(xs):
-        assert arr[i] == sigmoid(float(x))
+        scalar = sigmoid(float(x))
+        assert (np.isnan(arr[i]) and np.isnan(scalar)) or \
+            arr[i].tobytes() == np.float64(scalar).tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -81,6 +81,11 @@ def test_run_config_parsing_details():
         cli.parse_run_config("anchors=1,2\n")
     with pytest.raises(ValueError):
         cli.parse_run_config("input_n=100\n")
+    assert cli.parse_run_config("per_class_nms=YES\n").per_class_nms
+    assert not cli.parse_run_config("per_class_nms=False\n").per_class_nms
+    for value in ("on", "2", ""):
+        with pytest.raises(ValueError, match="config line 2"):
+            cli.parse_run_config(f"seed=1\nper_class_nms={value}\n")
 
 
 def test_dump_config_round_trips_through_cli(tmp_path, capsys):
@@ -320,3 +325,7 @@ def test_usage_errors_exit_two():
     with pytest.raises(SystemExit) as exc:
         cli.main(["no-such-command"])
     assert exc.value.code == 2
+    for frames in ("0", "-1"):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["bench", "--frames", frames])
+        assert exc.value.code == 2

@@ -165,8 +165,17 @@ def test_ap_random_datasets_agree_with_oracle():
 
 def test_map_matches_oracle():
     rng = np.random.default_rng(42)
+    datasets = []
     for _ in range(30):
         samples = [random_sample(rng) for _ in range(4)]
+        datasets.append(samples)
+        # one confidence everywhere, and a true positive on every other
+        # ground truth: ranks tie across images and classes, so the
+        # (image, detection) tie rule decides the curve
+        datasets.append([([(0.5, cid, b) for _, cid, b in dets]
+                          + [(0.5, cid, b) for cid, b in gts[::2]], gts)
+                         for dets, gts in samples])
+    for samples in datasets:
         if not any(gts for _, gts in samples):
             continue
         report = map_50_95([to_api(s) for s in samples])
