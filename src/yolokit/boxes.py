@@ -45,7 +45,8 @@ class BoxCorner:
     y_max: float
 
     def __post_init__(self):
-        if self.x_max < self.x_min or self.y_max < self.y_min:
+        # NaN fails the comparisons, so it is rejected too
+        if not (self.x_min <= self.x_max and self.y_min <= self.y_max):
             raise ValueError(
                 f"inverted corners: ({self.x_min}, {self.y_min}, "
                 f"{self.x_max}, {self.y_max})"

@@ -6,6 +6,12 @@ tensors), detect (head tensors to detection lines), eval (detections vs
 ground truth), synth (scenario dataset generation), bench (post-processing
 latency).
 
+`encode`, `detect` and `bench` take a flat key=value run config with
+`--config`. Its six keys are the RunConfig fields: anchors, the three
+post-processing thresholds, per_class_nms and seed. The input size is
+not a setting: `encode` takes it from the images and `detect` from the
+head tensors.
+
 Exit codes: 0 success, 1 evaluation found failures, 2 usage/parse error,
 3 I/O error. Data goes to stdout or files; diagnostics go to stderr.
 """
@@ -17,7 +23,7 @@ import os
 import struct
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -71,28 +77,20 @@ def read_head_bytes(blob: bytes) -> Tensor:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Pipeline settings shared by the commands."""
+    """Anchors, post-processing thresholds and the seed shared by
+    `encode`, `detect` and `bench`."""
 
-    input_n: int = 608
-    classes_path: str = ""
     anchors: tuple = DEFAULT_ANCHORS
     objectness_threshold: float = 0.25
     iou_threshold: float = 0.45
     confidence_floor: float = 0.5
     per_class_nms: bool = False
-    rotations: tuple = ()
-    flips: tuple = ()
     seed: int = 0
 
     def __post_init__(self):
-        if self.input_n % 32 != 0 or self.input_n <= 0:
-            raise ValueError(f"input_n {self.input_n} is not a positive multiple of 32")
         if len(self.anchors) != 9:
             raise ValueError(f"need 9 anchors, got {len(self.anchors)}")
-        for t in (self.objectness_threshold, self.iou_threshold,
-                  self.confidence_floor):
-            if not (0.0 <= t <= 1.0):
-                raise ValueError(f"threshold {t} outside [0, 1]")
+        self.detect_config()  # NmsConfig and DetectConfig check the thresholds
 
     def detect_config(self) -> postprocess.DetectConfig:
         return postprocess.DetectConfig(
@@ -104,64 +102,55 @@ class RunConfig:
 
 
 def parse_run_config(text: str) -> RunConfig:
-    """Parse `key=value` lines (#-comments allowed) into a RunConfig."""
-    values = {}
+    """Parse `key=value` lines (#-comments allowed) into a RunConfig.
+
+    Keys are the RunConfig field names. Every error is a ValueError that
+    names its config line.
+    """
+    config = RunConfig()
+    seen = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if "=" not in line:
-            raise ValueError(f"config line {lineno}: expected key=value, got {line!r}")
-        key, _, value = line.partition("=")
-        key = key.strip()
-        value = value.strip()
-        if key in values:
-            raise ValueError(f"config line {lineno}: duplicate key {key!r}")
-        values[key] = (lineno, value)
-
-    kwargs = {}
-    for key, (lineno, value) in values.items():
-        if key == "input_n":
-            kwargs["input_n"] = int(value)
-        elif key == "classes":
-            kwargs["classes_path"] = value
-        elif key == "anchors":
-            nums = [float(v) for v in value.split(",")]
-            if len(nums) != 18:
-                raise ValueError(f"anchors needs 18 numbers, got {len(nums)}")
-            kwargs["anchors"] = tuple(Anchor(nums[i], nums[i + 1])
-                                      for i in range(0, 18, 2))
-        elif key in ("objectness_threshold", "iou_threshold", "confidence_floor"):
-            kwargs[key] = float(value)
-        elif key == "per_class_nms":
-            if value.lower() not in ("0", "1", "false", "true", "no", "yes"):
-                raise ValueError(f"config line {lineno}: per_class_nms must "
-                                 f"be 0/1/true/false/yes/no, got {value!r}")
-            kwargs["per_class_nms"] = value.lower() in ("1", "true", "yes")
-        elif key == "rotations":
-            kwargs["rotations"] = tuple(float(v) for v in value.split(",")) if value else ()
-        elif key == "flips":
-            kwargs["flips"] = tuple(_flip_name(v) for v in value.split(",")) if value else ()
-        elif key == "seed":
-            kwargs["seed"] = int(value)
-        else:
-            raise ValueError(f"unknown config key {key!r}")
-    return RunConfig(**kwargs)
+        try:
+            if "=" not in line:
+                raise ValueError(f"expected key=value, got {line!r}")
+            key, _, value = (part.strip() for part in line.partition("="))
+            if key in seen:
+                raise ValueError(f"duplicate key {key!r}")
+            seen.add(key)
+            if key == "anchors":
+                nums = [float(v) for v in value.split(",")]
+                if len(nums) != 18:
+                    raise ValueError(f"anchors needs 18 numbers, got {len(nums)}")
+                value = tuple(Anchor(nums[i], nums[i + 1]) for i in range(0, 18, 2))
+            elif key in ("objectness_threshold", "iou_threshold", "confidence_floor"):
+                value = float(value)
+            elif key == "per_class_nms":
+                if value.lower() not in ("0", "1", "false", "true", "no", "yes"):
+                    raise ValueError(f"per_class_nms must be 0/1/true/false/yes/no, "
+                                     f"got {value!r}")
+                value = value.lower() in ("1", "true", "yes")
+            elif key == "seed":
+                value = int(value)
+            else:
+                raise ValueError(f"unknown config key {key!r}")
+            config = replace(config, **{key: value})
+        except ValueError as exc:
+            raise ValueError(f"config line {lineno}: {exc}") from None
+    return config
 
 
 def format_run_config(config: RunConfig) -> str:
     """Canonical config text; parse_run_config(format_run_config(c)) == c."""
     anchors = ",".join(f"{a.p_w:g},{a.p_h:g}" for a in config.anchors)
     lines = [
-        f"input_n={config.input_n}",
-        f"classes={config.classes_path}",
         f"anchors={anchors}",
         f"objectness_threshold={config.objectness_threshold!r}",
         f"iou_threshold={config.iou_threshold!r}",
         f"confidence_floor={config.confidence_floor!r}",
         f"per_class_nms={1 if config.per_class_nms else 0}",
-        f"rotations={','.join(f'{r:g}' for r in config.rotations)}",
-        f"flips={','.join(config.flips)}",
         f"seed={config.seed}",
     ]
     return "\n".join(lines) + "\n"
@@ -177,10 +166,7 @@ def _flip_name(token: str) -> str:
 
 
 def _load_config(args) -> RunConfig:
-    config = RunConfig()
-    if getattr(args, "config", None):
-        config = parse_run_config(_read_text(args.config))
-    return config
+    return parse_run_config(_read_text(args.config)) if args.config else RunConfig()
 
 
 # ---------------------------------------------------------------------------
@@ -341,7 +327,8 @@ def cmd_encode(args) -> int:
     config = _load_config(args)
     registry, samples = _load_dataset_dir(args.dataset)
     os.makedirs(args.out, exist_ok=True)
-    input_n = args.input if args.input is not None else config.input_n
+    # the images fix the input size, as the heads do for detect
+    input_n = samples[0].image.width if samples else 0
     for sample in samples:
         if sample.image.width != input_n or sample.image.height != input_n:
             raise ValueError(
@@ -395,15 +382,13 @@ def cmd_eval(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    config = _load_config(args)
     registry = (_load_registry(args.classes) if args.classes
                 else data.ClassRegistry(DEFAULT_CLASS_NAMES))
     scenario = SCENARIO_BY_NUMBER[args.scenario]
     os.makedirs(args.out, exist_ok=True)
     _write_text(os.path.join(args.out, "classes.txt"), registry.to_text())
-    base_seed = args.seed if args.seed is not None else config.seed
     for i in range(args.count):
-        seed = base_seed + i
+        seed = args.seed + i
         if scenario == "single-class":
             pool = [i % len(registry)]
             scene = data.generate_synthetic_scene(
@@ -512,7 +497,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("dataset")
     p.add_argument("--out", required=True)
     p.add_argument("--config", default=None)
-    p.add_argument("--input", type=int, default=None)
     p.set_defaults(func=cmd_encode)
 
     p = sub.add_parser("detect", help="run post-processing on head tensors")
@@ -538,12 +522,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("synth", help="generate a synthetic scenario dataset")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--scenario", type=int, required=True, choices=(1, 2, 3))
     p.add_argument("--count", type=int, required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--classes", default=None)
-    p.add_argument("--config", default=None)
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("bench", help="measure post-processing latency")

@@ -248,7 +248,7 @@ def read_labelimg_corners(text: str, image_dims: tuple[int, int]) -> list[tuple[
             x_min, y_min, x_max, y_max = (float(p) for p in parts[1:])
         except ValueError:
             raise ValueError(f"line {lineno}: non-numeric coordinate") from None
-        if x_max < x_min or y_max < y_min:
+        if not (x_min <= x_max and y_min <= y_max):
             raise ValueError(
                 f"line {lineno}: inverted corners ({x_min}, {y_min}, {x_max}, {y_max})")
         if (x_min < -1.0 or y_min < -1.0 or x_max > img_w + 1.0

@@ -30,7 +30,7 @@ import numpy as np
 
 from .boxes import (BoxCorner, RawPrediction, iou_one_to_many,
                     responsible_cell, sigmoid)
-from .cfg import grid_sizes
+from .cfg import grid_sizes, head_channels
 from .tensor import ShapeError, Tensor
 
 
@@ -94,14 +94,13 @@ def _head_fields(head: Tensor, num_classes: int):
     """
     if head.height != head.width:
         raise ShapeError(f"head must be square, got {head.height}x{head.width}")
-    per_slot = 5 + num_classes
-    expect = 3 * per_slot
+    expect = head_channels(num_classes)
     if head.channels != expect:
         raise ShapeError(
             f"head has {head.channels} channels; {num_classes} classes "
             f"requires 3*(4+1+{num_classes}) = {expect}")
     grid_n = head.height
-    return grid_n, head.data.reshape(grid_n * grid_n * 3, per_slot)
+    return grid_n, head.data.reshape(grid_n * grid_n * 3, expect // 3)
 
 
 def _slot_geometry(index, grid_n: int, input_n: int, anchors):
@@ -303,14 +302,13 @@ def detect_frame(heads, anchors, config: DetectConfig,
     if len(anchors) != 9:
         raise ShapeError(f"need 9 anchors, got {len(anchors)}")
     num_classes = len(class_names)
-    input_n = heads[0].height * 8
-    scales = []
-    for scale, (head, stride) in enumerate(zip(heads, (8, 16, 32))):
-        if head.height * stride != input_n:
-            raise ShapeError(
-                f"scale {scale} grid {head.height} inconsistent with input "
-                f"{input_n} (expected {input_n // stride})")
-        scales.append(_head_fields(head, num_classes))
+    # the coarsest grid has stride 32, so it fixes the input size
+    input_n = heads[2].height * 32
+    grids = tuple(head.height for head in heads)
+    if grids != grid_sizes(input_n):
+        raise ShapeError(f"head grids {grids} inconsistent with input "
+                         f"{input_n} (expected {grid_sizes(input_n)})")
+    scales = [_head_fields(head, num_classes) for head in heads]
 
     objectness = sigmoid(np.concatenate([fields[:, 4] for _, fields in scales]))
     live = np.flatnonzero(objectness >= config.nms.objectness_threshold)
@@ -414,8 +412,9 @@ def parse_detection_lines(text: str, class_names) -> list[Detection]:
     """Parse the line format back into Detections.
 
     Only the combined confidence survives serialization, so objectness is
-    set to the confidence and class_score to 1. Unknown class names and
-    malformed lines raise ValueError with the line number.
+    set to the confidence and class_score to 1. Unknown class names,
+    malformed lines and invalid or NaN values raise ValueError with the
+    line number.
     """
     name_to_id = {name: i for i, name in enumerate(class_names)}
     out = []
@@ -431,13 +430,13 @@ def parse_detection_lines(text: str, class_names) -> list[Detection]:
             raise ValueError(f"line {lineno}: unknown class {name!r}")
         try:
             conf, x_min, y_min, x_max, y_max = (float(p) for p in parts[1:])
-        except ValueError:
-            raise ValueError(f"line {lineno}: non-numeric field") from None
-        out.append(Detection(
-            box=BoxCorner(x_min, y_min, x_max, y_max),
-            class_id=name_to_id[name], class_name=name,
-            objectness=conf, class_score=1.0, confidence=conf,
-        ))
+            out.append(Detection(
+                box=BoxCorner(x_min, y_min, x_max, y_max),
+                class_id=name_to_id[name], class_name=name,
+                objectness=conf, class_score=1.0, confidence=conf,
+            ))
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {exc}") from None
     return out
 
 

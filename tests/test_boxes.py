@@ -65,6 +65,11 @@ def test_box_corner_rejects_inverted():
         BoxCorner(5.0, 0.0, 4.0, 1.0)
     with pytest.raises(ValueError):
         BoxCorner(0.0, 5.0, 1.0, 4.0)
+    nan = float("nan")
+    for corners in ((nan, 0.0, 1.0, 1.0), (0.0, nan, 1.0, 1.0),
+                    (0.0, 0.0, nan, 1.0), (0.0, 0.0, 1.0, nan)):
+        with pytest.raises(ValueError):
+            BoxCorner(*corners)
 
 
 def test_box_corner_degenerate_is_legal():

@@ -5,8 +5,8 @@ import json
 import numpy as np
 import pytest
 
-from yolokit import cli, data
-from yolokit.boxes import Anchor
+from yolokit import cli, data, postprocess
+from yolokit.boxes import Anchor, BoxNorm
 from yolokit.tensor import ShapeError, Tensor
 
 
@@ -54,43 +54,40 @@ def test_head_bytes_errors():
 
 def test_run_config_round_trip():
     config = cli.RunConfig(
-        input_n=416, classes_path="my/classes.txt",
         objectness_threshold=0.3, iou_threshold=0.55, confidence_floor=0.6,
-        per_class_nms=True, rotations=(90.0, 180.0), flips=("horizontal",),
-        seed=7)
+        per_class_nms=True, seed=7)
     assert cli.parse_run_config(cli.format_run_config(config)) == config
     assert cli.parse_run_config(cli.format_run_config(cli.RunConfig())) == cli.RunConfig()
 
 
 def test_run_config_parsing_details():
     text = ("# comment\n"
-            "input_n = 416\n"
-            "anchors=1,2,3,4,5,6,7,8,9,10,11,12,13,14,15,16,17,18\n"
-            "flips=h,v\n")
+            "seed = 416\n"
+            "anchors=1,2,3,4,5,6,7,8,9,10,11,12,13,14,15,16,17,18\n")
     config = cli.parse_run_config(text)
-    assert config.input_n == 416
+    assert config.seed == 416
     assert config.anchors[0] == Anchor(1.0, 2.0)
-    assert config.flips == ("horizontal", "vertical")
     with pytest.raises(ValueError):
-        cli.parse_run_config("input_n\n")
+        cli.parse_run_config("seed\n")
     with pytest.raises(ValueError):
         cli.parse_run_config("seed=1\nseed=2\n")
     with pytest.raises(ValueError):
         cli.parse_run_config("mystery=1\n")
     with pytest.raises(ValueError):
         cli.parse_run_config("anchors=1,2\n")
-    with pytest.raises(ValueError):
-        cli.parse_run_config("input_n=100\n")
     assert cli.parse_run_config("per_class_nms=YES\n").per_class_nms
     assert not cli.parse_run_config("per_class_nms=False\n").per_class_nms
-    for value in ("on", "2", ""):
+    for line in ("per_class_nms=on", "per_class_nms=2", "per_class_nms=",
+                 "seed=x", "iou_threshold=abc", "iou_threshold=1.5",
+                 "confidence_floor=nan", "anchors=1,2", "anchors=1,2,x",
+                 "mystery=1", "seed", "objectness_threshold=0.5",
+                 "classes=a.txt", "input_n=608", "rotations=90", "flips=h"):
         with pytest.raises(ValueError, match="config line 2"):
-            cli.parse_run_config(f"seed=1\nper_class_nms={value}\n")
+            cli.parse_run_config(f"objectness_threshold=0.3\n{line}\n")
 
 
 def test_dump_config_round_trips_through_cli(tmp_path, capsys):
-    config = cli.RunConfig(input_n=416, per_class_nms=True,
-                           rotations=(30.0,), flips=("vertical",), seed=3)
+    config = cli.RunConfig(per_class_nms=True, seed=3)
     path = tmp_path / "run.cfg"
     path.write_text(cli.format_run_config(config))
     assert cli.main(["detect", "--config", str(path), "--dump-config"]) == 0
@@ -188,6 +185,24 @@ def test_detect_json_output(tmp_path, capsys):
     assert len(dets) == len(truth)
     for det in dets:
         assert set(det) >= {"class_name", "confidence", "box"}
+
+
+def test_detect_rejects_a_nan_box(tmp_path, capsys):
+    (tmp_path / "classes.txt").write_text("bolt\ngear\n")
+    heads = postprocess.ground_truth_heads(
+        [(1, BoxNorm(0.25, 0.25, 0.25, 0.25))], 2, 64, cli.DEFAULT_ANCHORS)
+    head_files = [tmp_path / f"part.h{k}" for k in range(3)]
+    for path, head in zip(head_files, heads):
+        values = head.data.copy()
+        slots = values.reshape(-1, 5 + 2)
+        slots[slots[:, 4] > 0, 0] = np.nan  # t_x of the hot slot
+        path.write_bytes(cli.write_head_bytes(Tensor(values)))
+    out = tmp_path / "part.txt"
+    rc = cli.main(["detect", "--heads", *map(str, head_files),
+                   "--classes", str(tmp_path / "classes.txt"), "--out", str(out)])
+    assert rc == 2
+    assert "nan" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_eval_reports_failures_with_exit_one(tmp_path, capsys):
@@ -312,10 +327,10 @@ def test_exit_code_three_on_missing_file(tmp_path, capsys):
 
 def test_exit_code_two_on_size_mismatch(tmp_path, capsys):
     ds = tiny_dataset(tmp_path / "ds")
-    rc = cli.main(["encode", str(ds), "--out", str(tmp_path / "heads"),
-                   "--input", "32"])
+    (ds / "wide.ppm").write_bytes(data.write_ppm(data.Image.new(96, 64)))
+    rc = cli.main(["encode", str(ds), "--out", str(tmp_path / "heads")])
     assert rc == 2
-    assert "expected 32x32" in capsys.readouterr().err
+    assert "image is 96x64, expected 64x64" in capsys.readouterr().err
 
 
 def test_usage_errors_exit_two():

@@ -172,6 +172,9 @@ def test_labelimg_errors():
         read_labelimg_corners("gear 0 0 50\n", (100, 100))
     with pytest.raises(ValueError):
         read_labelimg_corners("gear a 0 50 50\n", (100, 100))
+    for line in ("gear nan 0 50 50", "gear 0 0 50 nan"):
+        with pytest.raises(ValueError, match="line 2"):
+            read_labelimg_corners(f"gear 0 0 50 50\n{line}\n", (100, 100))
 
 
 def test_labelimg_round_trip():

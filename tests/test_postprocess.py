@@ -454,6 +454,9 @@ def test_parse_detection_lines_errors():
         parse_detection_lines("cog 0.5 1 2 3 4\n", ["gear"])
     with pytest.raises(ValueError):
         parse_detection_lines("gear zero 1 2 3 4\n", ["gear"])
+    for line in ("gear 0.5 nan 2 3 4", "gear 0.5 1 2 3 nan", "gear nan 1 2 3 4"):
+        with pytest.raises(ValueError, match="line 1"):
+            parse_detection_lines(line + "\n", ["gear"])
     assert parse_detection_lines("\n  \n", ["gear"]) == []
 
 
