@@ -89,8 +89,8 @@ class Anchor:
     p_h: float
 
     def __post_init__(self):
-        if self.p_w <= 0 or self.p_h <= 0:
-            raise ValueError(f"anchor dims must be positive, got ({self.p_w}, {self.p_h})")
+        if not (0 < self.p_w < np.inf and 0 < self.p_h < np.inf):
+            raise ValueError(f"anchor dims must be finite and positive, got ({self.p_w}, {self.p_h})")
 
 
 @dataclass(frozen=True, slots=True)

@@ -330,12 +330,14 @@ def cmd_encode(args) -> int:
     # the images fix the input size, as the heads do for detect
     input_n = samples[0].image.width if samples else 0
     for sample in samples:
-        if sample.image.width != input_n or sample.image.height != input_n:
-            raise ValueError(
-                f"{sample.source_path}: image is {sample.image.width}x"
-                f"{sample.image.height}, expected {input_n}x{input_n}")
-        heads = postprocess.ground_truth_heads(
-            sample.labels, len(registry), input_n, config.anchors)
+        try:
+            if sample.image.width != input_n or sample.image.height != input_n:
+                raise ValueError(f"image is {sample.image.width}x"
+                                 f"{sample.image.height}, expected {input_n}x{input_n}")
+            heads = postprocess.ground_truth_heads(
+                sample.labels, len(registry), input_n, config.anchors)
+        except ValueError as exc:
+            raise ValueError(f"{sample.source_path}: {exc}") from None
         for k, head in enumerate(heads):
             _write_bytes(os.path.join(args.out, f"{sample.stem}.h{k}"),
                          write_head_bytes(head))
@@ -372,9 +374,14 @@ def cmd_eval(args) -> int:
             dets = postprocess.parse_detection_lines(_read_text(det_path),
                                                      registry.names)
         samples.append((dets, gts))
+    if os.path.isdir(args.detections):
+        paired = {sample.stem + ".txt" for sample in truth}
+        orphans = sorted(name for name in os.listdir(args.detections)
+                         if name.endswith(".txt") and name not in paired)
+        if orphans:
+            print("no truth image for " + ", ".join(orphans), file=sys.stderr)
     scenario = SCENARIO_BY_NUMBER.get(args.scenario, args.scenario)
-    report = metrics.scenario_report(
-        samples, scenario, metrics.EvalConfig(error_iou_threshold=args.iou))
+    report = metrics.scenario_report(samples, scenario, args.iou)
     sys.stdout.write(metrics.report_table(report, registry.names))
     if args.json:
         _write_text(args.json, metrics.report_to_json(report, registry.names) + "\n")
@@ -517,7 +524,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scenario", default="all-classes",
                    help="1|2|3 or a scenario name")
     p.add_argument("--iou", type=float, default=0.5,
-                   help="IoU threshold for failure counting")
+                   help="IoU threshold in [0, 1] for failure counting")
     p.add_argument("--json", default=None, help="also write a JSON report here")
     p.set_defaults(func=cmd_eval)
 

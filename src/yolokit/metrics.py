@@ -7,9 +7,10 @@ pairs, one pair per image. Matching is greedy in descending confidence
 unmatched same-class ground truth, preferring the highest IoU at or above
 the threshold (IoU ties to the lower ground-truth index).
 
-AP and mAP match each image once per IoU threshold, all classes together,
-and split the ranked true-positive flags by class afterwards; matching
-never pairs different classes, so each class gets the flags it would alone.
+AP, mAP and the scenario failure count come from one dataset pass: one IoU
+per same-class (detection, ground truth) pair, greedy matching from those
+at every threshold, and one confidence ranking, split by class afterwards
+since matching never pairs different classes.
 """
 
 from __future__ import annotations
@@ -89,51 +90,54 @@ class EvalReport:
     confidence_stats: ConfidenceStats | None = None
 
 
+def _match_image(dets, gts, thresholds) -> list:
+    """Greedy matching of one image at each threshold, from one IoU per
+    same-class pair. Per threshold: a (gt index or None, IoU) pair for each
+    detection in detection order, and the taken flag of each gt."""
+    candidates = [[(j, iou(d.box, g.box)) for j, g in enumerate(gts)
+                   if g.class_id == d.class_id] for d in dets]
+    order = sorted(range(len(dets)), key=lambda i: (-dets[i].confidence, i))
+    results = []
+    for t in thresholds:
+        taken = [False] * len(gts)
+        matched = [(None, 0.0)] * len(dets)
+        for i in order:
+            best = (None, 0.0)  # then a candidates pair: results allocate no tuples
+            for pair in candidates[i]:
+                j, value = pair
+                if not taken[j] and value >= t and value > best[1]:
+                    best = pair
+            if best[0] is not None:
+                taken[best[0]] = True
+                matched[i] = best
+        results.append((matched, taken))
+    return results
+
+
 def match_detections(dets: Sequence[Detection], gts: Sequence[GroundTruth],
                      iou_threshold: float) -> MatchResult:
     """Greedy confidence-ordered matching for one image."""
-    order = sorted(range(len(dets)), key=lambda i: (-dets[i].confidence, i))
-    taken = [False] * len(gts)
-    matched_gt: list[int | None] = [None] * len(dets)
-    matched_iou = [0.0] * len(dets)
-    for i in order:
-        det = dets[i]
-        best_j = None
-        best_iou = 0.0
-        for j, gt in enumerate(gts):
-            if taken[j] or gt.class_id != det.class_id:
-                continue
-            value = iou(det.box, gt.box)
-            if value >= iou_threshold and value > best_iou:
-                best_iou = value
-                best_j = j
-        if best_j is not None:
-            taken[best_j] = True
-            matched_gt[i] = best_j
-            matched_iou[i] = best_iou
-    entries = tuple(MatchEntry(dets[i], matched_gt[i], matched_iou[i])
-                    for i in range(len(dets)))
-    return MatchResult(entries, tuple(taken))
+    (matched, taken), = _match_image(dets, gts, (iou_threshold,))
+    return MatchResult(tuple(MatchEntry(d, *m) for d, m in zip(dets, matched)),
+                       tuple(taken))
 
 
-def _ranked_flags(samples, iou_threshold: float):
-    """Dataset-wide confidence-ranked TP flags per class, plus the
-    ground-truth count per class. Rank ties break by (image index,
-    detection index)."""
-    ranked = []
-    total_gt = Counter()
-    for img_idx, (dets, gts) in enumerate(samples):
-        total_gt.update(g.class_id for g in gts)
-        result = match_detections(dets, gts, iou_threshold)
-        for det_idx, entry in enumerate(result.entries):
-            ranked.append((-entry.detection.confidence, img_idx, det_idx,
-                           entry.detection.class_id,
-                           entry.gt_index is not None))
-    ranked.sort()
-    flags = defaultdict(list)
-    for *_, class_id, is_tp in ranked:
-        flags[class_id].append(is_tp)
-    return flags, total_gt
+def _evaluate(samples, thresholds):
+    """Per threshold, the AP of each class with ground truth (class order),
+    and each image's `_match_image` result at the last threshold. Equal
+    confidences rank by (image index, detection index)."""
+    total_gt = Counter(g.class_id for _, gts in samples for g in gts)
+    per_image = [_match_image(dets, gts, thresholds) for dets, gts in samples]
+    ranked = sorted((-d.confidence, img_idx, det_idx, d.class_id)
+                    for img_idx, (dets, _) in enumerate(samples)
+                    for det_idx, d in enumerate(dets))
+    flags = [defaultdict(list) for _ in thresholds]
+    for _, img_idx, det_idx, class_id in ranked:
+        for by_class, (matched, _) in zip(flags, per_image[img_idx]):
+            by_class[class_id].append(matched[det_idx][0] is not None)
+    ap = [{c: _interpolated_ap(by_class[c], total_gt[c]) for c in sorted(total_gt)}
+          for by_class in flags]
+    return ap, [results[-1] for results in per_image]
 
 
 def _interpolated_ap(flags, total_gt: int) -> float:
@@ -156,82 +160,72 @@ def average_precision(samples, class_id: int, iou_threshold: float) -> float:
     0, 0.01, ..., 1.00 is the maximum precision at any recall >= it.
     Raises ValueError when the class has no ground truth.
     """
-    flags, total_gt = _ranked_flags(samples, iou_threshold)
-    if total_gt[class_id] == 0:
+    (ap,), _ = _evaluate(samples, (iou_threshold,))
+    if class_id not in ap:
         raise ValueError(f"class {class_id} has no ground truth")
-    return _interpolated_ap(flags[class_id], total_gt[class_id])
+    return ap[class_id]
 
 
-def map_50_95(samples) -> EvalReport:
-    """AP per present class at each threshold in 0.50:0.95 step 0.05;
-    mAP is the mean over classes, then over thresholds."""
-    classes = sorted({g.class_id for _, gts in samples for g in gts})
-    if not classes:
+def _map_report(ap) -> EvalReport:
+    """The mAP report from `_evaluate` APs, IOU_THRESHOLDS first."""
+    if not ap[0]:
         raise ValueError("dataset has no ground truth")
-    per_class = {c: {} for c in classes}
-    for t in IOU_THRESHOLDS:
-        flags, total_gt = _ranked_flags(samples, t)
-        for c in classes:
-            per_class[c][t] = _interpolated_ap(flags[c], total_gt[c])
-    per_threshold = [
-        sum(per_class[c][t] for c in classes) / len(classes)
-        for t in IOU_THRESHOLDS
-    ]
+    per_threshold = [sum(by_class.values()) / len(by_class)
+                     for by_class in ap[:len(IOU_THRESHOLDS)]]
     return EvalReport(
-        per_class_ap=per_class,
+        per_class_ap={c: dict(zip(IOU_THRESHOLDS, (by_class[c] for by_class in ap)))
+                      for c in ap[0]},
         map_50_95=sum(per_threshold) / len(per_threshold),
         map_50=per_threshold[0],
     )
 
 
-@dataclass(frozen=True)
-class EvalConfig:
-    """Scenario evaluation knobs: the IoU threshold used for the
-    per-image failure counting."""
-
-    error_iou_threshold: float = 0.5
+def map_50_95(samples) -> EvalReport:
+    """AP per present class at each threshold in 0.50:0.95 step 0.05;
+    mAP is the mean over classes, then over thresholds."""
+    return _map_report(_evaluate(samples, IOU_THRESHOLDS)[0])
 
 
 def scenario_report(samples, scenario: str,
-                    config: EvalConfig = EvalConfig()) -> EvalReport:
+                    error_iou_threshold: float = 0.5) -> EvalReport:
     """Full report plus scenario error rate and confidence statistics.
 
     An image fails when it has any unmatched ground truth or any false
-    positive at the configured IoU threshold. error_rate is the failed
-    fraction of images; confidence statistics cover matched detections.
+    positive at `error_iou_threshold`, which must be finite and in [0, 1].
+    error_rate is the failed fraction of images; confidence statistics
+    cover matched detections.
     """
     if scenario not in SCENARIOS:
         raise ValueError(f"unknown scenario {scenario!r}, need one of {SCENARIOS}")
-    base = map_50_95(samples)
-    failed = 0
-    matched_conf: list[float] = []
-    for dets, gts in samples:
-        result = match_detections(dets, gts, config.error_iou_threshold)
-        if result.false_positives or result.missed:
-            failed += 1
-        matched_conf.extend(e.detection.confidence for e in result.entries
-                            if e.gt_index is not None)
-    stats = None
-    if matched_conf:
-        stats = ConfidenceStats(min(matched_conf), max(matched_conf),
-                                sum(matched_conf) / len(matched_conf))
+    if not 0.0 <= error_iou_threshold <= 1.0:
+        raise ValueError(f"error_iou_threshold {error_iou_threshold} outside [0, 1]")
+    ap, last = _evaluate(samples, IOU_THRESHOLDS + (error_iou_threshold,))
+    base = _map_report(ap)
+    failed = sum(not all(taken) or any(j is None for j, _ in matched)
+                 for matched, taken in last)
+    matched_conf = [d.confidence for (dets, _), (matched, _) in zip(samples, last)
+                    for d, (j, _) in zip(dets, matched) if j is not None]
+    stats = (ConfidenceStats(min(matched_conf), max(matched_conf),
+                             sum(matched_conf) / len(matched_conf))
+             if matched_conf else None)
     return replace(base, scenario=scenario,
                    error_rate=failed / len(samples),
                    failed_images=failed, total_images=len(samples),
                    confidence_stats=stats)
 
 
+def _class_key(class_id: int, class_names) -> str:
+    return class_names[class_id] if class_names is not None else str(class_id)
+
+
 def report_to_json(report: EvalReport, class_names=None) -> str:
     """EvalReport as pretty JSON; class keys are names when a registry is
     supplied, else decimal class ids."""
-    def class_key(cid):
-        return class_names[cid] if class_names is not None else str(cid)
-
     payload = {
         "map_50_95": report.map_50_95,
         "map_50": report.map_50,
         "per_class_ap": {
-            class_key(c): {f"{t:.2f}": ap for t, ap in by_thr.items()}
+            _class_key(c, class_names): {f"{t:.2f}": ap for t, ap in by_thr.items()}
             for c, by_thr in report.per_class_ap.items()
         },
     }
@@ -252,13 +246,10 @@ def report_to_json(report: EvalReport, class_names=None) -> str:
 def report_table(report: EvalReport, class_names=None) -> str:
     """Aligned text table of per-class AP at 0.50, 0.75 and the 0.50:0.95
     mean, with aggregate rows."""
-    def class_key(cid):
-        return class_names[cid] if class_names is not None else str(cid)
-
     rows = [("class", "AP@0.50", "AP@0.75", "AP@0.50:0.95")]
     for c, by_thr in report.per_class_ap.items():
         mean_ap = sum(by_thr.values()) / len(by_thr)
-        rows.append((class_key(c), f"{by_thr[0.5]:.4f}",
+        rows.append((_class_key(c, class_names), f"{by_thr[0.5]:.4f}",
                      f"{by_thr[0.75]:.4f}", f"{mean_ap:.4f}"))
     rows.append(("mAP", f"{report.map_50:.4f}", "", f"{report.map_50_95:.4f}"))
     widths = [max(len(r[i]) for r in rows) for i in range(4)]

@@ -98,6 +98,10 @@ def test_anchor_must_be_positive():
         Anchor(0.0, 5.0)
     with pytest.raises(ValueError):
         Anchor(5.0, -1.0)
+    for p_w, p_h in ((float("nan"), 5.0), (5.0, float("nan")),
+                     (float("inf"), 5.0), (5.0, float("inf"))):
+        with pytest.raises(ValueError):
+            Anchor(p_w, p_h)
 
 
 # ---------------------------------------------------------------------------

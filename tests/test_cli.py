@@ -81,7 +81,9 @@ def test_run_config_parsing_details():
                  "seed=x", "iou_threshold=abc", "iou_threshold=1.5",
                  "confidence_floor=nan", "anchors=1,2", "anchors=1,2,x",
                  "mystery=1", "seed", "objectness_threshold=0.5",
-                 "classes=a.txt", "input_n=608", "rotations=90", "flips=h"):
+                 "classes=a.txt", "input_n=608", "rotations=90", "flips=h",
+                 "anchors=nan,16,19,36,40,28,36,75,76,55,72,146,142,110,192,243,"
+                 "459,401"):
         with pytest.raises(ValueError, match="config line 2"):
             cli.parse_run_config(f"objectness_threshold=0.3\n{line}\n")
 
@@ -214,6 +216,26 @@ def test_eval_reports_failures_with_exit_one(tmp_path, capsys):
     assert rc == 1
 
 
+def test_eval_names_detection_files_without_truth(tmp_path, capsys):
+    ds = tiny_dataset(tmp_path / "truth")
+    dets = tmp_path / "dets"
+    dets.mkdir()
+    (dets / "part.txt").write_text("")
+    argv = ["eval", "--detections", str(dets), "--truth", str(ds)]
+    rc = cli.main(argv)
+    clean = capsys.readouterr()
+    assert clean.err == ""
+    (dets / "stray.txt").write_text("")
+    (dets / "other.txt").write_text("")
+    (dets / "notes.md").write_text("")
+    assert cli.main(argv) == rc
+    captured = capsys.readouterr()
+    assert captured.out == clean.out
+    line, = captured.err.splitlines()
+    assert "other.txt, stray.txt" in line
+    assert "part.txt" not in line and "notes.md" not in line
+
+
 # ---------------------------------------------------------------------------
 # label tools
 
@@ -331,9 +353,17 @@ def test_exit_code_two_on_size_mismatch(tmp_path, capsys):
     rc = cli.main(["encode", str(ds), "--out", str(tmp_path / "heads")])
     assert rc == 2
     assert "image is 96x64, expected 64x64" in capsys.readouterr().err
+    odd = tmp_path / "odd"
+    odd.mkdir()
+    (odd / "classes.txt").write_text("bolt\n")
+    (odd / "square.ppm").write_bytes(data.write_ppm(data.Image.new(100, 100)))
+    rc = cli.main(["encode", str(odd), "--out", str(tmp_path / "odd_heads")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "square.ppm" in err and "not a positive multiple of 32" in err
 
 
-def test_usage_errors_exit_two():
+def test_usage_errors_exit_two(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["detect"])
     assert exc.value.code == 2
@@ -344,3 +374,10 @@ def test_usage_errors_exit_two():
         with pytest.raises(SystemExit) as exc:
             cli.main(["bench", "--frames", frames])
         assert exc.value.code == 2
+    capsys.readouterr()
+    ds = tiny_dataset(tmp_path / "truth")
+    for value in ("nan", "1.5", "-1"):
+        rc = cli.main(["eval", "--detections", str(tmp_path / "dets"),
+                       "--truth", str(ds), "--iou", value])
+        assert rc == 2
+        assert value in capsys.readouterr().err

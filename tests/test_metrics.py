@@ -4,9 +4,10 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from yolokit.boxes import BoxCorner
-from yolokit.metrics import (IOU_THRESHOLDS, SCENARIOS, EvalConfig,
+from yolokit.metrics import (IOU_THRESHOLDS, SCENARIOS, ConfidenceStats,
                              GroundTruth, average_precision, map_50_95,
                              match_detections, report_table, report_to_json,
                              scenario_report)
@@ -235,13 +236,59 @@ def test_scenario_iou_threshold_config():
     sample = ([det(0, 0, 2, 1, 0.9)], [gt(0, 0, 1, 1)])
     assert scenario_report([sample], "single-class").error_rate == 0.0
     strict = scenario_report([sample], "single-class",
-                             EvalConfig(error_iou_threshold=0.6))
+                             error_iou_threshold=0.6)
     assert strict.error_rate == 1.0
 
 
 def test_scenario_name_validated():
     with pytest.raises(ValueError):
         scenario_report([clean_image()], "weird")
+
+
+def test_scenario_iou_threshold_validated():
+    for bad in (float("nan"), float("inf"), -0.1, 1.5):
+        with pytest.raises(ValueError, match="error_iou_threshold"):
+            scenario_report([clean_image()], "single-class",
+                            error_iou_threshold=bad)
+
+
+# small integer boxes on a 12-pixel frame, so IoU ties and exact threshold
+# hits happen; confidences from three values, so rank ties happen
+small_boxes = st.tuples(st.integers(0, 8), st.integers(0, 8),
+                        st.integers(1, 4), st.integers(1, 4)).map(
+    lambda b: (float(b[0]), float(b[1]), float(b[0] + b[2]), float(b[1] + b[3])))
+small_images = st.tuples(
+    st.lists(st.tuples(st.sampled_from([0.3, 0.6, 0.9]), st.integers(0, 2),
+                       small_boxes), max_size=5),
+    st.lists(st.tuples(st.integers(0, 2), small_boxes), max_size=4))
+
+
+@settings(deadline=None)
+@given(st.lists(small_images, min_size=1, max_size=4), st.booleans())
+def test_scenario_report_agrees_with_match_and_ap(images, tied):
+    if tied:
+        images = [([(0.5, cid, b) for _, cid, b in dets], gts)
+                  for dets, gts in images]
+    samples = [to_api(image) for image in images]
+    present = sorted({g.class_id for _, gts in samples for g in gts})
+    if not present:
+        return
+    per_class_ap = map_50_95(samples).per_class_ap
+    for t in sorted({0.0, 0.6, 1.0, *IOU_THRESHOLDS}):
+        report = scenario_report(samples, "all-classes", error_iou_threshold=t)
+        assert report.per_class_ap == per_class_ap
+        results = [match_detections(dets, gts, t) for dets, gts in samples]
+        assert report.failed_images == sum(
+            1 for r in results if r.false_positives or r.missed)
+        conf = [e.detection.confidence for r in results for e in r.entries
+                if e.gt_index is not None]
+        assert report.confidence_stats == (
+            ConfidenceStats(min(conf), max(conf), sum(conf) / len(conf))
+            if conf else None)
+    assert sorted(per_class_ap) == present
+    for c in present:
+        for u in IOU_THRESHOLDS:
+            assert per_class_ap[c][u] == average_precision(samples, c, u)
 
 
 # ---------------------------------------------------------------------------
