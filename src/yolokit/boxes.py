@@ -138,8 +138,9 @@ def decode_box(raw: RawPrediction, anchor: Anchor, grid_n: int,
     by exp of the raw width/height outputs. Corners clamp to [0, input_n].
     """
     b_x, b_y = decode_center(raw.t_x, raw.t_y, raw.cell, grid_n, input_n)
-    b_w = anchor.p_w * np.exp(raw.t_w)
-    b_h = anchor.p_h * np.exp(raw.t_h)
+    with np.errstate(over="ignore"):  # an infinite size clips to the frame
+        b_w = anchor.p_w * np.exp(raw.t_w)
+        b_h = anchor.p_h * np.exp(raw.t_h)
     return BoxCorner(
         x_min=min(max(b_x - b_w / 2.0, 0.0), float(input_n)),
         y_min=min(max(b_y - b_h / 2.0, 0.0), float(input_n)),

@@ -24,6 +24,7 @@ import struct
 import sys
 import time
 from dataclasses import dataclass, replace
+from pathlib import Path
 
 import numpy as np
 
@@ -166,15 +167,24 @@ def _flip_name(token: str) -> str:
 
 
 def _load_config(args) -> RunConfig:
-    return parse_run_config(_read_text(args.config)) if args.config else RunConfig()
+    return _load(args.config, parse_run_config) if args.config else RunConfig()
 
 
 # ---------------------------------------------------------------------------
 # I/O helpers
 
-def _read_text(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+def _load(path: str, parser, *args):
+    """`parser(content, *args)` of the file at `path`: bytes for PPM images
+    and head blobs, UTF-8 text otherwise. A ValueError from decoding or
+    parsing is raised again with the path in front."""
+    with open(path, "rb") as fh:
+        content = fh.read()
+    try:
+        if parser not in (data.read_ppm, read_head_bytes):
+            content = content.decode("utf-8")
+        return parser(content, *args)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def _write_text(path: str, text: str) -> None:
@@ -182,37 +192,20 @@ def _write_text(path: str, text: str) -> None:
         fh.write(text)
 
 
-def _read_bytes(path: str) -> bytes:
-    with open(path, "rb") as fh:
-        return fh.read()
-
-
-def _write_bytes(path: str, blob: bytes) -> None:
-    with open(path, "wb") as fh:
-        fh.write(blob)
-
-
-def _load_registry(path: str) -> data.ClassRegistry:
-    return data.ClassRegistry.from_text(_read_text(path))
-
-
 def _load_dataset_dir(directory: str):
     """Read a dataset directory: classes.txt plus <stem>.ppm/<stem>.txt
     pairs (a missing label file means an unlabeled image)."""
-    classes_path = os.path.join(directory, "classes.txt")
-    if not os.path.exists(classes_path):
-        raise ValueError(f"{directory}: missing classes.txt")
-    registry = _load_registry(classes_path)
+    registry = _load(os.path.join(directory, "classes.txt"),
+                     data.ClassRegistry.from_text)
     samples = []
     for name in sorted(os.listdir(directory)):
         if not name.endswith(".ppm"):
             continue
-        image = data.read_ppm(_read_bytes(os.path.join(directory, name)))
+        image = _load(os.path.join(directory, name), data.read_ppm)
         stem = os.path.splitext(name)[0]
         label_path = os.path.join(directory, stem + ".txt")
-        labels = ()
-        if os.path.exists(label_path):
-            labels = tuple(data.read_yolo_labels(_read_text(label_path), registry))
+        labels = (_load(label_path, data.read_yolo_labels, registry)
+                  if os.path.exists(label_path) else ())
         samples.append(data.LabeledImage(image, labels, name))
     return registry, samples
 
@@ -228,7 +221,7 @@ def _emit(text: str, out_path: str | None) -> None:
 # Commands
 
 def cmd_netinfo(args) -> int:
-    graph = cfgmod.parse_cfg(_read_text(args.cfg))
+    graph = _load(args.cfg, cfgmod.parse_cfg)
     if args.input is not None:
         net = graph.layers[0]
         attrs = dict(net.attributes)
@@ -270,8 +263,7 @@ def cmd_augment(args) -> int:
     stub = data.Image(np.zeros((1, 1, 3), dtype=np.uint8))
     for variant in data.iter_expanded(samples, rotations, flips):
         stem = variant.stem
-        _write_bytes(os.path.join(args.out, stem + ".ppm"),
-                     data.write_ppm(variant.image))
+        Path(args.out, stem + ".ppm").write_bytes(data.write_ppm(variant.image))
         _write_text(os.path.join(args.out, stem + ".txt"),
                     data.write_yolo_labels(variant.labels))
         expanded.append(data.LabeledImage(stub, variant.labels,
@@ -289,23 +281,23 @@ def cmd_augment(args) -> int:
 
 
 def cmd_labels_convert(args) -> int:
-    registry = _load_registry(args.classes)
+    registry = _load(args.classes, data.ClassRegistry.from_text)
     os.makedirs(args.out, exist_ok=True)
     converted = 0
     for name in sorted(os.listdir(args.dir)):
         if not name.endswith(".txt") or name == "classes.txt":
             continue
         stem = os.path.splitext(name)[0]
-        ppm_path = os.path.join(args.dir, stem + ".ppm")
-        image = data.read_ppm(_read_bytes(ppm_path))
-        text = _read_text(os.path.join(args.dir, name))
+        image = _load(os.path.join(args.dir, stem + ".ppm"), data.read_ppm)
+        label_path = os.path.join(args.dir, name)
         if args.src == "labelimg" and args.dst == "yolo":
-            corners = data.read_labelimg_corners(text, (image.width, image.height))
+            corners = _load(label_path, data.read_labelimg_corners,
+                            (image.width, image.height))
             labels = [(registry.index(cls), corner_to_norm(
                 box, image.width, image.height)) for cls, box in corners]
             out_text = data.write_yolo_labels(labels)
         elif args.src == "yolo" and args.dst == "labelimg":
-            labels = data.read_yolo_labels(text, registry)
+            labels = _load(label_path, data.read_yolo_labels, registry)
             corners = [(registry[cid], norm_to_corner(box, image.width, image.height))
                        for cid, box in labels]
             out_text = data.write_labelimg_corners(corners)
@@ -339,8 +331,7 @@ def cmd_encode(args) -> int:
         except ValueError as exc:
             raise ValueError(f"{sample.source_path}: {exc}") from None
         for k, head in enumerate(heads):
-            _write_bytes(os.path.join(args.out, f"{sample.stem}.h{k}"),
-                         write_head_bytes(head))
+            Path(args.out, f"{sample.stem}.h{k}").write_bytes(write_head_bytes(head))
     print(f"encoded {len(samples)} images into head tensors at {args.out}")
     return 0
 
@@ -350,8 +341,8 @@ def cmd_detect(args) -> int:
     if args.dump_config:
         sys.stdout.write(format_run_config(config))
         return 0
-    registry = _load_registry(args.classes)
-    heads = [read_head_bytes(_read_bytes(p)) for p in args.heads]
+    registry = _load(args.classes, data.ClassRegistry.from_text)
+    heads = [_load(p, read_head_bytes) for p in args.heads]
     dets = postprocess.detect_frame(heads, config.anchors,
                                     config.detect_config(), registry.names)
     if args.json:
@@ -369,19 +360,16 @@ def cmd_eval(args) -> int:
             norm_to_corner(box, sample.image.width, sample.image.height), cid)
             for cid, box in sample.labels]
         det_path = os.path.join(args.detections, sample.stem + ".txt")
-        dets = []
-        if os.path.exists(det_path):
-            dets = postprocess.parse_detection_lines(_read_text(det_path),
-                                                     registry.names)
+        dets = (_load(det_path, postprocess.parse_detection_lines, registry.names)
+                if os.path.exists(det_path) else [])
         samples.append((dets, gts))
-    if os.path.isdir(args.detections):
-        paired = {sample.stem + ".txt" for sample in truth}
-        orphans = sorted(name for name in os.listdir(args.detections)
-                         if name.endswith(".txt") and name not in paired)
-        if orphans:
-            print("no truth image for " + ", ".join(orphans), file=sys.stderr)
     scenario = SCENARIO_BY_NUMBER.get(args.scenario, args.scenario)
     report = metrics.scenario_report(samples, scenario, args.iou)
+    paired = {sample.stem + ".txt" for sample in truth}
+    orphans = sorted(name for name in os.listdir(args.detections)
+                     if name.endswith(".txt") and name not in paired)
+    if orphans:
+        print("no truth image for " + ", ".join(orphans), file=sys.stderr)
     sys.stdout.write(metrics.report_table(report, registry.names))
     if args.json:
         _write_text(args.json, metrics.report_to_json(report, registry.names) + "\n")
@@ -389,7 +377,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    registry = (_load_registry(args.classes) if args.classes
+    registry = (_load(args.classes, data.ClassRegistry.from_text) if args.classes
                 else data.ClassRegistry(DEFAULT_CLASS_NAMES))
     scenario = SCENARIO_BY_NUMBER[args.scenario]
     os.makedirs(args.out, exist_ok=True)
@@ -411,8 +399,7 @@ def cmd_synth(args) -> int:
             scene = data.generate_synthetic_scene(
                 seed, registry, count_range=(len(registry), len(registry)),
                 min_gap=2.0)
-        _write_bytes(os.path.join(args.out, scene.stem + ".ppm"),
-                     data.write_ppm(scene.image))
+        Path(args.out, scene.stem + ".ppm").write_bytes(data.write_ppm(scene.image))
         _write_text(os.path.join(args.out, scene.stem + ".txt"),
                     data.write_yolo_labels(scene.labels))
     print(f"wrote {args.count} {scenario} scenes to {args.out}")

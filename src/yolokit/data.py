@@ -6,6 +6,10 @@ Label coordinate conventions follow the two text formats in the wild:
 per-image `class_id cx cy w h` lines in normalized center form, and
 `class_name x_min y_min x_max y_max` lines in pixel corners. The CSV
 aggregate uses pixel corners with one row per box.
+
+Both label formats and `postprocess`'s detection lines are read by
+`read_records`, which skips blank lines, checks field counts and puts
+`line N: ` in front of every error; each format checks only its fields.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from .boxes import BoxCorner, BoxNorm, corner_to_norm, norm_to_corner
 COORD_GRID = 4096
 
 
-class PlacementError(RuntimeError):
+class PlacementError(ValueError):
     """Scene generator could not fit the requested shapes."""
 
 
@@ -186,6 +190,23 @@ def write_ppm(image: Image) -> bytes:
 # ---------------------------------------------------------------------------
 # Label text formats
 
+def read_records(text: str, fields: int, parse_record) -> list:
+    """`parse_record(parts)` for each non-blank line split on whitespace.
+    A line without `fields` parts, or a ValueError from `parse_record`,
+    raises ValueError with `line N: ` (counted from 1) in front."""
+    out = []
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        parts = line.split()
+        try:
+            if len(parts) == fields:
+                out.append(parse_record(parts))
+            elif parts:
+                raise ValueError(f"expected {fields} fields, got {len(parts)}")
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {exc}") from None
+    return out
+
+
 def read_yolo_labels(text: str, registry) -> list[tuple[int, BoxNorm]]:
     """Parse `class_id cx cy w h` lines (normalized center form).
 
@@ -193,31 +214,21 @@ def read_yolo_labels(text: str, registry) -> list[tuple[int, BoxNorm]]:
     class_id outside the registry, or coordinates outside their ranges.
     """
     num_classes = len(registry)
-    out: list[tuple[int, BoxNorm]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        parts = line.split()
-        if len(parts) != 5:
-            raise ValueError(f"line {lineno}: expected 5 fields, got {len(parts)}")
+
+    def label(parts):
         try:
             class_id = int(parts[0])
         except ValueError:
-            raise ValueError(f"line {lineno}: class_id {parts[0]!r} is not an integer") from None
+            raise ValueError(f"class_id {parts[0]!r} is not an integer") from None
         if not (0 <= class_id < num_classes):
-            raise ValueError(
-                f"line {lineno}: class_id {class_id} outside 0..{num_classes - 1}")
+            raise ValueError(f"class_id {class_id} outside 0..{num_classes - 1}")
         try:
             cx, cy, w, h = (float(p) for p in parts[1:])
         except ValueError:
-            raise ValueError(f"line {lineno}: non-numeric coordinate") from None
-        try:
-            box = BoxNorm(cx, cy, w, h)
-        except ValueError as exc:
-            raise ValueError(f"line {lineno}: {exc}") from None
-        out.append((class_id, box))
-    return out
+            raise ValueError("non-numeric coordinate") from None
+        return class_id, BoxNorm(cx, cy, w, h)
+
+    return read_records(text, 5, label)
 
 
 def write_yolo_labels(labels: Iterable[tuple[int, BoxNorm]]) -> str:
@@ -235,33 +246,25 @@ def read_labelimg_corners(text: str, image_dims: tuple[int, int]) -> list[tuple[
     inverted corners.
     """
     img_w, img_h = image_dims
-    out: list[tuple[str, BoxCorner]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        parts = line.split()
-        if len(parts) != 5:
-            raise ValueError(f"line {lineno}: expected 5 fields, got {len(parts)}")
-        name = parts[0]
+
+    def corner(parts):
         try:
             x_min, y_min, x_max, y_max = (float(p) for p in parts[1:])
         except ValueError:
-            raise ValueError(f"line {lineno}: non-numeric coordinate") from None
+            raise ValueError("non-numeric coordinate") from None
         if not (x_min <= x_max and y_min <= y_max):
-            raise ValueError(
-                f"line {lineno}: inverted corners ({x_min}, {y_min}, {x_max}, {y_max})")
+            raise ValueError(f"inverted corners ({x_min}, {y_min}, {x_max}, {y_max})")
         if (x_min < -1.0 or y_min < -1.0 or x_max > img_w + 1.0
                 or y_max > img_h + 1.0):
-            raise ValueError(
-                f"line {lineno}: corners outside {img_w}x{img_h} image "
-                f"beyond 1 px tolerance")
-        out.append((name, BoxCorner(
+            raise ValueError(f"corners outside {img_w}x{img_h} image "
+                             f"beyond 1 px tolerance")
+        return parts[0], BoxCorner(
             min(max(x_min, 0.0), float(img_w)),
             min(max(y_min, 0.0), float(img_h)),
             min(max(x_max, 0.0), float(img_w)),
-            min(max(y_max, 0.0), float(img_h)))))
-    return out
+            min(max(y_max, 0.0), float(img_h)))
+
+    return read_records(text, 5, corner)
 
 
 def write_labelimg_corners(labels: Iterable[tuple[str, BoxCorner]]) -> str:

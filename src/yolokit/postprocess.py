@@ -31,6 +31,7 @@ import numpy as np
 from .boxes import (BoxCorner, RawPrediction, iou_one_to_many,
                     responsible_cell, sigmoid)
 from .cfg import grid_sizes, head_channels
+from .data import read_records
 from .tensor import ShapeError, Tensor
 
 
@@ -151,8 +152,9 @@ def _score_arrays(objectness, fields, rows, cols, strides, p_w, p_h,
 
     b_x = (sigmoid(fields[:, 0]) + cols) * strides
     b_y = (sigmoid(fields[:, 1]) + rows) * strides
-    b_w = p_w * np.exp(fields[:, 2])
-    b_h = p_h * np.exp(fields[:, 3])
+    with np.errstate(over="ignore"):  # an infinite size clips to the frame
+        b_w = p_w * np.exp(fields[:, 2])
+        b_h = p_h * np.exp(fields[:, 3])
     n = float(input_n)
     corners = np.stack([
         np.minimum(np.maximum(b_x - b_w / 2.0, 0.0), n),
@@ -417,27 +419,19 @@ def parse_detection_lines(text: str, class_names) -> list[Detection]:
     line number.
     """
     name_to_id = {name: i for i, name in enumerate(class_names)}
-    out = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if not line:
-            continue
-        parts = line.split()
-        if len(parts) != 6:
-            raise ValueError(f"line {lineno}: expected 6 fields, got {len(parts)}")
+
+    def detection(parts):
         name = parts[0]
         if name not in name_to_id:
-            raise ValueError(f"line {lineno}: unknown class {name!r}")
-        try:
-            conf, x_min, y_min, x_max, y_max = (float(p) for p in parts[1:])
-            out.append(Detection(
-                box=BoxCorner(x_min, y_min, x_max, y_max),
-                class_id=name_to_id[name], class_name=name,
-                objectness=conf, class_score=1.0, confidence=conf,
-            ))
-        except ValueError as exc:
-            raise ValueError(f"line {lineno}: {exc}") from None
-    return out
+            raise ValueError(f"unknown class {name!r}")
+        conf, x_min, y_min, x_max, y_max = (float(p) for p in parts[1:])
+        return Detection(
+            box=BoxCorner(x_min, y_min, x_max, y_max),
+            class_id=name_to_id[name], class_name=name,
+            objectness=conf, class_score=1.0, confidence=conf,
+        )
+
+    return read_records(text, 6, detection)
 
 
 def detections_to_json(dets: list[Detection]) -> str:

@@ -1,5 +1,7 @@
 """Box forms, IoU, conversions and the anchor-offset decode."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -204,11 +206,15 @@ def test_decode_box_matches_scalar_oracle():
 
 
 def test_decode_box_clamps_to_frame():
-    raw = RawPrediction(0.0, 0.0, 5.0, 5.0, 0.0, (0.0,), (0, 0), 0,
-                        Anchor(459, 401), 13, 416)
-    box = decode_box(raw, Anchor(459, 401), 13, 416)
-    assert box.x_min == 0.0 and box.y_min == 0.0
-    assert box.x_max == 416.0 and box.y_max == 416.0
+    # exp(800) overflows to an infinite size, which clips without a warning
+    for t_size in (5.0, 800.0):
+        raw = RawPrediction(0.0, 0.0, t_size, t_size, 0.0, (0.0,), (0, 0), 0,
+                            Anchor(459, 401), 13, 416)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            box = decode_box(raw, Anchor(459, 401), 13, 416)
+        assert box.x_min == 0.0 and box.y_min == 0.0
+        assert box.x_max == 416.0 and box.y_max == 416.0
 
 
 # ---------------------------------------------------------------------------

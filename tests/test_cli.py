@@ -339,12 +339,31 @@ def test_exit_code_two_on_parse_error(tmp_path, capsys):
     bad = tmp_path / "bad.cfg"
     bad.write_text("[net\nwidth=608\n")
     assert cli.main(["netinfo", str(bad)]) == 2
-    assert "yolokit:" in capsys.readouterr().err
+    assert capsys.readouterr().err.startswith(f"yolokit: {bad}: line 1: ")
 
 
 def test_exit_code_three_on_missing_file(tmp_path, capsys):
     assert cli.main(["netinfo", str(tmp_path / "nope.cfg")]) == 3
     assert "I/O error" in capsys.readouterr().err
+    ds = tiny_dataset(tmp_path / "truth")
+    rc = cli.main(["eval", "--detections", str(tmp_path / "nosuchdir"),
+                   "--truth", str(ds)])
+    assert rc == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "I/O error" in captured.err and "nosuchdir" in captured.err
+    (ds / "classes.txt").unlink()
+    assert cli.main(["labels", "csv", "--dir", str(ds)]) == 3
+    assert "classes.txt" in capsys.readouterr().err
+
+
+def test_synth_exits_two_when_a_scene_cannot_be_placed(tmp_path, capsys):
+    classes = tmp_path / "classes.txt"
+    classes.write_text("".join(f"c{i}\n" for i in range(200)))
+    rc = cli.main(["synth", "--scenario", "3", "--count", "1",
+                   "--classes", str(classes), "--out", str(tmp_path / "ds")])
+    assert rc == 2
+    assert "could not place shape" in capsys.readouterr().err
 
 
 def test_exit_code_two_on_size_mismatch(tmp_path, capsys):

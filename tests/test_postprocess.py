@@ -6,6 +6,7 @@ import os
 import platform
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -325,6 +326,19 @@ def test_detect_frame_hot_cell_yields_single_detection():
     assert abs((det.box.x_min + det.box.x_max) / 2 - cx) < 1e-9
     assert abs((det.box.y_min + det.box.y_max) / 2 - cy) < 1e-9
     assert det.confidence > 0.99
+
+
+def test_detect_frame_clips_an_overflowing_size_without_warning():
+    heads = [Tensor(np.full((g, g, 3 * 8), -12.0)) for g in (8, 4, 2)]
+    data = heads[0].data.copy()
+    # a hot slot whose t_w and t_h of 800 overflow exp
+    data[2, 3, :6] = (0.0, 0.0, 800.0, 800.0, 12.0, 12.0)
+    heads[0] = Tensor(data)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        dets = detect_frame(heads, NINE_ANCHORS, DetectConfig(), ["a", "b", "c"])
+    assert [(d.class_name, d.box) for d in dets] == [
+        ("a", BoxCorner(0.0, 0.0, 64.0, 64.0))]
 
 
 def test_detect_frame_validation():
