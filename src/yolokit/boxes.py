@@ -130,6 +130,16 @@ def decode_center(t_x: float, t_y: float, cell: tuple, grid_n: int,
     return b_x, b_y
 
 
+def decode_corners(b_x, b_y, t_w, t_h, p_w, p_h, input_n: int) -> tuple:
+    """Corners (x_min, y_min, x_max, y_max) of boxes centered at (b_x, b_y)
+    with size p * exp(t), clamped to [0, input_n]. Scalars or arrays."""
+    with np.errstate(over="ignore"):  # an infinite size clips to the frame
+        half_w = p_w * np.exp(t_w) / 2.0
+        half_h = p_h * np.exp(t_h) / 2.0
+    return tuple(np.minimum(np.maximum(edge, 0.0), float(input_n)) for edge in (
+        b_x - half_w, b_y - half_h, b_x + half_w, b_y + half_h))
+
+
 def decode_box(raw: RawPrediction, anchor: Anchor, grid_n: int,
                input_n: int) -> BoxCorner:
     """Turn raw offsets into a pixel corner box.
@@ -138,15 +148,8 @@ def decode_box(raw: RawPrediction, anchor: Anchor, grid_n: int,
     by exp of the raw width/height outputs. Corners clamp to [0, input_n].
     """
     b_x, b_y = decode_center(raw.t_x, raw.t_y, raw.cell, grid_n, input_n)
-    with np.errstate(over="ignore"):  # an infinite size clips to the frame
-        b_w = anchor.p_w * np.exp(raw.t_w)
-        b_h = anchor.p_h * np.exp(raw.t_h)
-    return BoxCorner(
-        x_min=min(max(b_x - b_w / 2.0, 0.0), float(input_n)),
-        y_min=min(max(b_y - b_h / 2.0, 0.0), float(input_n)),
-        x_max=min(max(b_x + b_w / 2.0, 0.0), float(input_n)),
-        y_max=min(max(b_y + b_h / 2.0, 0.0), float(input_n)),
-    )
+    return BoxCorner(*map(float, decode_corners(
+        b_x, b_y, raw.t_w, raw.t_h, anchor.p_w, anchor.p_h, input_n)))
 
 
 def iou(a: BoxCorner, b: BoxCorner) -> float:

@@ -134,7 +134,8 @@ def serialize_cfg(graph: NetGraph) -> str:
     return "\n\n".join(chunks) + "\n"
 
 
-def _as_int(attrs: Mapping, key: str, default: int | None, spec: LayerSpec) -> int:
+def _as_int(attrs: Mapping, key: str, default: int | None, spec: LayerSpec,
+            minimum: int | None = None) -> int:
     if key not in attrs:
         if default is None:
             raise CfgError(f"[{spec.kind}] missing required key {key!r}",
@@ -144,7 +145,22 @@ def _as_int(attrs: Mapping, key: str, default: int | None, spec: LayerSpec) -> i
     if not isinstance(value, int):
         raise CfgError(f"[{spec.kind}] key {key!r} must be an integer, got {value!r}",
                        spec.source_line)
+    if minimum is not None and value < minimum:
+        raise CfgError(f"[{spec.kind}] key {key!r} must be at least {minimum}, "
+                       f"got {value}", spec.source_line)
     return value
+
+
+def _as_ints(attrs: Mapping, key: str, spec: LayerSpec) -> tuple[int, ...]:
+    """A required integer or comma list of integers, as a tuple."""
+    if key not in attrs:
+        raise CfgError(f"[{spec.kind}] missing {key!r}", spec.source_line)
+    value = attrs[key]
+    values = value if isinstance(value, tuple) else (value,)
+    if not all(isinstance(v, int) for v in values):
+        raise CfgError(f"[{spec.kind}] key {key!r} must be an integer or a list "
+                       f"of integers, got {_format_value(value)!r}", spec.source_line)
+    return values
 
 
 def _window_out(size: int, kernel: int, stride: int, total_pad: int,
@@ -176,9 +192,9 @@ def propagate_shapes(graph: NetGraph) -> NetGraph:
     shape through unchanged. Idempotent.
     """
     net = graph.layers[0]
-    width = _as_int(net.attributes, "width", None, net)
-    height = _as_int(net.attributes, "height", None, net)
-    channels = _as_int(net.attributes, "channels", 3, net)
+    width = _as_int(net.attributes, "width", None, net, minimum=1)
+    height = _as_int(net.attributes, "height", None, net, minimum=1)
+    channels = _as_int(net.attributes, "channels", 3, net, minimum=1)
     if width % 32 != 0 or height % 32 != 0:
         raise CfgError(
             f"input {width}x{height} is not a multiple of 32", net.source_line)
@@ -192,9 +208,9 @@ def propagate_shapes(graph: NetGraph) -> NetGraph:
         h, w, c = prev
 
         if spec.kind == "convolutional":
-            filters = _as_int(attrs, "filters", None, spec)
-            size = _as_int(attrs, "size", 1, spec)
-            stride = _as_int(attrs, "stride", 1, spec)
+            filters = _as_int(attrs, "filters", None, spec, minimum=1)
+            size = _as_int(attrs, "size", 1, spec, minimum=1)
+            stride = _as_int(attrs, "stride", 1, spec, minimum=1)
             if _as_int(attrs, "pad", 0, spec):
                 pad = size // 2
             else:
@@ -205,19 +221,15 @@ def propagate_shapes(graph: NetGraph) -> NetGraph:
         elif spec.kind == "maxpool":
             # darknet defaults: stride 1, size = stride, padding = size - 1
             # (total padding, not per side)
-            stride = _as_int(attrs, "stride", 1, spec)
-            size = _as_int(attrs, "size", stride, spec)
+            stride = _as_int(attrs, "stride", 1, spec, minimum=1)
+            size = _as_int(attrs, "size", stride, spec, minimum=1)
             padding = _as_int(attrs, "padding", size - 1, spec)
             out = (_window_out(h, size, stride, padding, spec, "height"),
                    _window_out(w, size, stride, padding, spec, "width"),
                    c)
         elif spec.kind == "route":
-            refs = attrs.get("layers")
-            if refs is None:
-                raise CfgError("[route] missing 'layers'", spec.source_line)
-            if isinstance(refs, int):
-                refs = (refs,)
-            targets = [_resolve_ref(r, own, len(shapes), spec) for r in refs]
+            targets = [_resolve_ref(r, own, len(shapes), spec)
+                       for r in _as_ints(attrs, "layers", spec)]
             parts = [shapes[t + 1] for t in targets]
             rh, rw = parts[0][0], parts[0][1]
             for t, part in zip(targets, parts):
@@ -227,7 +239,7 @@ def propagate_shapes(graph: NetGraph) -> NetGraph:
                         f"{rh}x{rw} but layer {t} is {part[0]}x{part[1]}",
                         spec.source_line)
             total_c = sum(part[2] for part in parts)
-            groups = _as_int(attrs, "groups", 1, spec)
+            groups = _as_int(attrs, "groups", 1, spec, minimum=1)
             if groups > 1:
                 if total_c % groups:
                     raise CfgError(
@@ -247,7 +259,7 @@ def propagate_shapes(graph: NetGraph) -> NetGraph:
                     f"layer {target} is {other}", spec.source_line)
             out = prev
         elif spec.kind == "upsample":
-            stride = _as_int(attrs, "stride", 2, spec)
+            stride = _as_int(attrs, "stride", 2, spec, minimum=1)
             out = (h * stride, w * stride, c)
         elif spec.kind == "yolo":
             out = prev

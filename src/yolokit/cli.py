@@ -46,7 +46,7 @@ DEFAULT_CLASS_NAMES = (
     "clip", "rivet", "spacer", "flange", "dowel", "shim",
 )
 
-SCENARIO_BY_NUMBER = {1: "single-class", 2: "multi-class-group", 3: "all-classes"}
+SCENARIO_BY_NUMBER = dict(enumerate(metrics.SCENARIOS, start=1))
 
 
 # ---------------------------------------------------------------------------
@@ -102,6 +102,30 @@ class RunConfig:
             confidence_floor=self.confidence_floor)
 
 
+def _parse_anchors(value: str) -> tuple:
+    nums = [float(v) for v in value.split(",")]
+    if len(nums) != 18:
+        raise ValueError(f"anchors needs 18 numbers, got {len(nums)}")
+    return tuple(Anchor(nums[i], nums[i + 1]) for i in range(0, 18, 2))
+
+
+def _parse_flag(value: str) -> bool:
+    if value.lower() not in ("0", "1", "false", "true", "no", "yes"):
+        raise ValueError(f"per_class_nms must be 0/1/true/false/yes/no, got {value!r}")
+    return value.lower() in ("1", "true", "yes")
+
+
+# Each RunConfig field's (parse, format) pair, in canonical order.
+_RUN_CONFIG_KEYS = {
+    "anchors": (_parse_anchors, lambda v: ",".join(f"{a.p_w:g},{a.p_h:g}" for a in v)),
+    "objectness_threshold": (float, repr),
+    "iou_threshold": (float, repr),
+    "confidence_floor": (float, repr),
+    "per_class_nms": (_parse_flag, lambda flag: "1" if flag else "0"),
+    "seed": (int, str),
+}
+
+
 def parse_run_config(text: str) -> RunConfig:
     """Parse `key=value` lines (#-comments allowed) into a RunConfig.
 
@@ -121,23 +145,9 @@ def parse_run_config(text: str) -> RunConfig:
             if key in seen:
                 raise ValueError(f"duplicate key {key!r}")
             seen.add(key)
-            if key == "anchors":
-                nums = [float(v) for v in value.split(",")]
-                if len(nums) != 18:
-                    raise ValueError(f"anchors needs 18 numbers, got {len(nums)}")
-                value = tuple(Anchor(nums[i], nums[i + 1]) for i in range(0, 18, 2))
-            elif key in ("objectness_threshold", "iou_threshold", "confidence_floor"):
-                value = float(value)
-            elif key == "per_class_nms":
-                if value.lower() not in ("0", "1", "false", "true", "no", "yes"):
-                    raise ValueError(f"per_class_nms must be 0/1/true/false/yes/no, "
-                                     f"got {value!r}")
-                value = value.lower() in ("1", "true", "yes")
-            elif key == "seed":
-                value = int(value)
-            else:
+            if key not in _RUN_CONFIG_KEYS:
                 raise ValueError(f"unknown config key {key!r}")
-            config = replace(config, **{key: value})
+            config = replace(config, **{key: _RUN_CONFIG_KEYS[key][0](value)})
         except ValueError as exc:
             raise ValueError(f"config line {lineno}: {exc}") from None
     return config
@@ -145,16 +155,8 @@ def parse_run_config(text: str) -> RunConfig:
 
 def format_run_config(config: RunConfig) -> str:
     """Canonical config text; parse_run_config(format_run_config(c)) == c."""
-    anchors = ",".join(f"{a.p_w:g},{a.p_h:g}" for a in config.anchors)
-    lines = [
-        f"anchors={anchors}",
-        f"objectness_threshold={config.objectness_threshold!r}",
-        f"iou_threshold={config.iou_threshold!r}",
-        f"confidence_floor={config.confidence_floor!r}",
-        f"per_class_nms={1 if config.per_class_nms else 0}",
-        f"seed={config.seed}",
-    ]
-    return "\n".join(lines) + "\n"
+    return "".join(f"{key}={fmt(getattr(config, key))}\n"
+                   for key, (_, fmt) in _RUN_CONFIG_KEYS.items())
 
 
 def _flip_name(token: str) -> str:
@@ -210,6 +212,22 @@ def _load_dataset_dir(directory: str):
     return registry, samples
 
 
+def _write_dataset_dir(directory: str, registry, samples) -> list:
+    """Write classes.txt plus <stem>.ppm/<stem>.txt for each LabeledImage
+    of `samples`, as `_load_dataset_dir` reads them. Returns the labels
+    only, so that a long stream of samples never sits in memory."""
+    os.makedirs(directory, exist_ok=True)
+    _write_text(os.path.join(directory, "classes.txt"), registry.to_text())
+    written = []
+    for sample in samples:
+        Path(directory, sample.stem + ".ppm").write_bytes(
+            data.write_ppm(sample.image))
+        _write_text(os.path.join(directory, sample.stem + ".txt"),
+                    data.write_yolo_labels(sample.labels))
+        written.append(sample.labels)
+    return written
+
+
 def _emit(text: str, out_path: str | None) -> None:
     if out_path:
         _write_text(out_path, text)
@@ -220,17 +238,23 @@ def _emit(text: str, out_path: str | None) -> None:
 # ---------------------------------------------------------------------------
 # Commands
 
-def cmd_netinfo(args) -> int:
-    graph = _load(args.cfg, cfgmod.parse_cfg)
-    if args.input is not None:
+def _net_census(text: str, input_n: int | None):
+    """Shape-resolved graph and census of cfg `text`, its input size
+    replaced by `input_n` when that is given."""
+    graph = cfgmod.parse_cfg(text)
+    if input_n is not None:
         net = graph.layers[0]
         attrs = dict(net.attributes)
-        attrs["width"] = args.input
-        attrs["height"] = args.input
+        attrs["width"] = input_n
+        attrs["height"] = input_n
         graph = cfgmod.NetGraph(
             (cfgmod.LayerSpec("net", attrs, net.source_line),) + graph.layers[1:])
     graph = cfgmod.propagate_shapes(graph)
-    report = cfgmod.census(graph)
+    return graph, cfgmod.census(graph)
+
+
+def cmd_netinfo(args) -> int:
+    graph, report = _load(args.cfg, _net_census, args.input)
 
     rows = [("idx", "kind", "out shape", "neurons", "params")]
     for stat in report.per_layer:
@@ -254,23 +278,13 @@ def cmd_augment(args) -> int:
     registry, samples = _load_dataset_dir(args.dataset)
     rotations = [float(v) for v in args.rotations.split(",")] if args.rotations else []
     flips = [_flip_name(v) for v in args.flips.split(",")] if args.flips else []
-    os.makedirs(args.out, exist_ok=True)
-    _write_text(os.path.join(args.out, "classes.txt"), registry.to_text())
-    count = 0
-    expanded = []
-    # keep only labels for the report; the pixel payloads would not fit in
-    # memory for large expansions
+    written = _write_dataset_dir(
+        args.out, registry, data.iter_expanded(samples, rotations, flips))
     stub = data.Image(np.zeros((1, 1, 3), dtype=np.uint8))
-    for variant in data.iter_expanded(samples, rotations, flips):
-        stem = variant.stem
-        Path(args.out, stem + ".ppm").write_bytes(data.write_ppm(variant.image))
-        _write_text(os.path.join(args.out, stem + ".txt"),
-                    data.write_yolo_labels(variant.labels))
-        expanded.append(data.LabeledImage(stub, variant.labels,
-                                          variant.source_path))
-        count += 1
-    report = data.expansion_report(expanded, registry, floor=args.floor)
-    print(f"wrote {count} images to {args.out}")
+    report = data.expansion_report(
+        (data.LabeledImage(stub, labels, "") for labels in written),
+        registry, floor=args.floor)
+    print(f"wrote {len(written)} images to {args.out}")
     for name in registry:
         marker = "" if report.per_class[name] >= args.floor else "  BELOW FLOOR"
         print(f"{name}: {report.per_class[name]}{marker}")
@@ -278,6 +292,14 @@ def cmd_augment(args) -> int:
         print(f"classes below the {args.floor}-image floor: "
               f"{', '.join(report.below_floor)}", file=sys.stderr)
     return 0
+
+
+def _labelimg_as_yolo(text: str, image, registry) -> str:
+    """labelImg corner lines of `image` as YOLO label lines."""
+    corners = data.read_labelimg_corners(text, (image.width, image.height))
+    return data.write_yolo_labels(
+        (registry.index(name), corner_to_norm(box, image.width, image.height))
+        for name, box in corners)
 
 
 def cmd_labels_convert(args) -> int:
@@ -291,11 +313,7 @@ def cmd_labels_convert(args) -> int:
         image = _load(os.path.join(args.dir, stem + ".ppm"), data.read_ppm)
         label_path = os.path.join(args.dir, name)
         if args.src == "labelimg" and args.dst == "yolo":
-            corners = _load(label_path, data.read_labelimg_corners,
-                            (image.width, image.height))
-            labels = [(registry.index(cls), corner_to_norm(
-                box, image.width, image.height)) for cls, box in corners]
-            out_text = data.write_yolo_labels(labels)
+            out_text = _load(label_path, _labelimg_as_yolo, image, registry)
         elif args.src == "yolo" and args.dst == "labelimg":
             labels = _load(label_path, data.read_yolo_labels, registry)
             corners = [(registry[cid], norm_to_corner(box, image.width, image.height))
@@ -363,7 +381,10 @@ def cmd_eval(args) -> int:
         dets = (_load(det_path, postprocess.parse_detection_lines, registry.names)
                 if os.path.exists(det_path) else [])
         samples.append((dets, gts))
-    scenario = SCENARIO_BY_NUMBER.get(args.scenario, args.scenario)
+    try:  # a number names the scenario at that position
+        scenario = SCENARIO_BY_NUMBER.get(int(args.scenario), int(args.scenario))
+    except ValueError:
+        scenario = args.scenario
     report = metrics.scenario_report(samples, scenario, args.iou)
     paired = {sample.stem + ".txt" for sample in truth}
     orphans = sorted(name for name in os.listdir(args.detections)
@@ -380,28 +401,19 @@ def cmd_synth(args) -> int:
     registry = (_load(args.classes, data.ClassRegistry.from_text) if args.classes
                 else data.ClassRegistry(DEFAULT_CLASS_NAMES))
     scenario = SCENARIO_BY_NUMBER[args.scenario]
-    os.makedirs(args.out, exist_ok=True)
-    _write_text(os.path.join(args.out, "classes.txt"), registry.to_text())
-    for i in range(args.count):
-        seed = args.seed + i
-        if scenario == "single-class":
-            pool = [i % len(registry)]
-            scene = data.generate_synthetic_scene(
-                seed, registry, count_range=(3, 6), min_gap=4.0,
-                class_pool=pool)
-        elif scenario == "multi-class-group":
-            start = i % len(registry)
-            pool = [(start + k) % len(registry) for k in range(4)]
-            scene = data.generate_synthetic_scene(
-                seed, registry, count_range=(4, 4), min_gap=1.0,
-                class_pool=pool)
-        else:
-            scene = data.generate_synthetic_scene(
-                seed, registry, count_range=(len(registry), len(registry)),
-                min_gap=2.0)
-        Path(args.out, scene.stem + ".ppm").write_bytes(data.write_ppm(scene.image))
-        _write_text(os.path.join(args.out, scene.stem + ".txt"),
-                    data.write_yolo_labels(scene.labels))
+    n = len(registry)
+    # scene i's count range, minimum gap and class pool (default: every class)
+    layout = {
+        "single-class": lambda i: dict(count_range=(3, 6), min_gap=4.0,
+                                       class_pool=[i % n]),
+        "multi-class-group": lambda i: dict(
+            count_range=(4, 4), min_gap=1.0,
+            class_pool=[(i + k) % n for k in range(4)]),
+        "all-classes": lambda i: dict(count_range=(n, n), min_gap=2.0),
+    }[scenario]
+    _write_dataset_dir(args.out, registry, (
+        data.generate_synthetic_scene(args.seed + i, registry, **layout(i))
+        for i in range(args.count)))
     print(f"wrote {args.count} {scenario} scenes to {args.out}")
     return 0
 
@@ -517,7 +529,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="generate a synthetic scenario dataset")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--scenario", type=int, required=True, choices=(1, 2, 3))
+    p.add_argument("--scenario", type=int, required=True, choices=SCENARIO_BY_NUMBER)
     p.add_argument("--count", type=int, required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--classes", default=None)
@@ -541,11 +553,6 @@ def main(argv=None) -> int:
             parser.error("detect requires --heads and --classes")
     if args.command == "bench" and args.frames < 1:
         parser.error(f"bench --frames must be at least 1, got {args.frames}")
-    if args.command == "eval":
-        try:
-            args.scenario = int(args.scenario)
-        except ValueError:
-            pass
     try:
         return args.func(args)
     except OSError as exc:

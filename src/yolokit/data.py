@@ -112,6 +112,8 @@ class ClassRegistry:
         return "".join(name + "\n" for name in self.names)
 
     def index(self, name: str) -> int:
+        if name not in self.names:
+            raise ValueError(f"unknown class {name!r}")
         return self.names.index(name)
 
     def __len__(self) -> int:
@@ -323,15 +325,17 @@ def format_csv(rows: Sequence[CsvRow]) -> str:
 
 
 def parse_csv(text: str) -> list[CsvRow]:
-    reader = csv.reader(io.StringIO(text))
     try:
-        header = next(reader)
-    except StopIteration:
-        raise ValueError("empty CSV (missing header)") from None
+        records = list(csv.reader(io.StringIO(text)))
+    except csv.Error as exc:
+        raise ValueError(f"malformed CSV: {exc}") from None
+    if not records:
+        raise ValueError("empty CSV (missing header)")
+    header, *body = records
     if tuple(header) != CSV_HEADER:
         raise ValueError(f"bad CSV header {header!r}")
     rows: list[CsvRow] = []
-    for record in reader:
+    for record in body:
         if not record:
             continue
         if len(record) != len(CSV_HEADER):

@@ -18,6 +18,10 @@ confidence never exceeds its objectness and no gated-out slot could pass
 either drop key. NMS computes IoU a block of candidates at a time and
 walks each block greedily, so it makes the same keep/suppress decisions
 as popping one candidate at a time.
+
+Both paths reject a NaN objectness logit, and a NaN in any row they
+score, with one ValueError that names the scale, cell, slot and channel.
+Infinite logits are legal.
 """
 
 from __future__ import annotations
@@ -28,8 +32,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boxes import (BoxCorner, RawPrediction, iou_one_to_many,
-                    responsible_cell, sigmoid)
+from .boxes import (BoxCorner, RawPrediction, decode_corners,
+                    iou_one_to_many, responsible_cell, sigmoid)
 from .cfg import grid_sizes, head_channels
 from .data import read_records
 from .tensor import ShapeError, Tensor
@@ -86,22 +90,22 @@ class DetectConfig:
             raise ValueError(f"confidence_floor {self.confidence_floor} outside [0, 1]")
 
 
-def _head_fields(head: Tensor, num_classes: int):
-    """View a head tensor as one row per anchor slot.
+def _head_fields(head: np.ndarray, num_classes: int):
+    """View a head's (height, width, channels) array as one row per slot.
 
-    Returns (grid_n, fields) where fields has shape
-    (grid_n*grid_n*3, 5 + C), cell-major slot-minor, and each row is
+    Returns (grid_n, fields), fields of shape (grid_n*grid_n*3, 5 + C):
+    row (row*grid_n + col)*3 + s holds slot s of cell (row, col) as
     [t_x, t_y, t_w, t_h, objectness, class_0 .. class_{C-1}].
     """
-    if head.height != head.width:
-        raise ShapeError(f"head must be square, got {head.height}x{head.width}")
+    height, width, channels = head.shape
+    if height != width:
+        raise ShapeError(f"head must be square, got {height}x{width}")
     expect = head_channels(num_classes)
-    if head.channels != expect:
+    if channels != expect:
         raise ShapeError(
-            f"head has {head.channels} channels; {num_classes} classes "
+            f"head has {channels} channels; {num_classes} classes "
             f"requires 3*(4+1+{num_classes}) = {expect}")
-    grid_n = head.height
-    return grid_n, head.data.reshape(grid_n * grid_n * 3, expect // 3)
+    return height, head.reshape(height * width * 3, expect // 3)
 
 
 def _slot_geometry(index, grid_n: int, input_n: int, anchors):
@@ -114,19 +118,34 @@ def _slot_geometry(index, grid_n: int, input_n: int, anchors):
             np.array([a.p_h for a in anchors])[slot])
 
 
+def _reject_nan(fields, index, scale: int, grid_n: int) -> None:
+    """Raise ValueError naming the first NaN in `fields`, the
+    `_head_fields` rows at `index` of head `scale`. Infinite logits are
+    legal: scores and boxes clip them."""
+    bad = np.isnan(fields)
+    if bad.any():
+        i, field = np.argwhere(bad)[0]
+        cell, slot = divmod(int(index[i]), 3)
+        row, col = divmod(cell, grid_n)
+        raise ValueError(f"scale {scale}, cell ({row}, {col}), slot {slot}, "
+                         f"channel {slot * fields.shape[1] + field}: logit is nan")
+
+
 def extract_predictions(head: Tensor, anchors, num_classes: int,
                         input_n: int, scale_index: int = 0) -> list[RawPrediction]:
     """One RawPrediction per (cell, anchor slot), cell-major slot-minor.
 
     `anchors` is this scale's three priors. A head whose channel count
-    disagrees with 3*(4+1+num_classes) is rejected.
+    disagrees with 3*(4+1+num_classes) is rejected, and so is a NaN
+    anywhere in it: every slot is scored downstream.
     """
     anchors = tuple(anchors)
     if len(anchors) != 3:
         raise ShapeError(f"need exactly 3 anchors per scale, got {len(anchors)}")
-    grid_n, fields = _head_fields(head, num_classes)
-    rows, cols, *_ = _slot_geometry(np.arange(fields.shape[0]), grid_n,
-                                    input_n, anchors)
+    grid_n, fields = _head_fields(head.data, num_classes)
+    index = np.arange(fields.shape[0])
+    _reject_nan(fields, index, scale_index, grid_n)
+    rows, cols, *_ = _slot_geometry(index, grid_n, input_n, anchors)
     return [RawPrediction(
         t_x=vec[0], t_y=vec[1], t_w=vec[2], t_h=vec[3],
         objectness_logit=vec[4], class_logits=tuple(vec[5:]),
@@ -152,16 +171,8 @@ def _score_arrays(objectness, fields, rows, cols, strides, p_w, p_h,
 
     b_x = (sigmoid(fields[:, 0]) + cols) * strides
     b_y = (sigmoid(fields[:, 1]) + rows) * strides
-    with np.errstate(over="ignore"):  # an infinite size clips to the frame
-        b_w = p_w * np.exp(fields[:, 2])
-        b_h = p_h * np.exp(fields[:, 3])
-    n = float(input_n)
-    corners = np.stack([
-        np.minimum(np.maximum(b_x - b_w / 2.0, 0.0), n),
-        np.minimum(np.maximum(b_y - b_h / 2.0, 0.0), n),
-        np.minimum(np.maximum(b_x + b_w / 2.0, 0.0), n),
-        np.minimum(np.maximum(b_y + b_h / 2.0, 0.0), n),
-    ], axis=1)
+    corners = np.stack(decode_corners(b_x, b_y, fields[:, 2], fields[:, 3],
+                                      p_w, p_h, input_n), axis=1)
     return class_id, class_score, confidence, corners
 
 
@@ -295,7 +306,8 @@ def detect_frame(heads, anchors, config: DetectConfig,
     so confidence = objectness * class_score <= objectness in IEEE
     arithmetic, and a slot below the gate could never pass the drop
     threshold. The gated slots keep their original order, so NMS breaks
-    confidence ties as the full pipeline does.
+    confidence ties as the full pipeline does. A NaN objectness, or a NaN
+    in a gated slot's row, raises ValueError.
     """
     heads = tuple(heads)
     anchors = tuple(anchors)
@@ -310,17 +322,21 @@ def detect_frame(heads, anchors, config: DetectConfig,
     if grids != grid_sizes(input_n):
         raise ShapeError(f"head grids {grids} inconsistent with input "
                          f"{input_n} (expected {grid_sizes(input_n)})")
-    scales = [_head_fields(head, num_classes) for head in heads]
+    scales = [_head_fields(head.data, num_classes) for head in heads]
 
     objectness = sigmoid(np.concatenate([fields[:, 4] for _, fields in scales]))
-    live = np.flatnonzero(objectness >= config.nms.objectness_threshold)
+    # a NaN objectness is not below the gate either, so the row check
+    # below rejects it
+    live = np.flatnonzero(~(objectness < config.nms.objectness_threshold))
     parts = []
     start = 0
     for scale, (grid_n, fields) in enumerate(scales):
         stop = start + fields.shape[0]
         index = live[np.searchsorted(live, start):
                      np.searchsorted(live, stop)] - start
-        parts.append((fields[index], *_slot_geometry(
+        gated = fields[index]
+        _reject_nan(gated, index, scale, grid_n)
+        parts.append((gated, *_slot_geometry(
             index, grid_n, input_n, anchors[scale * 3:scale * 3 + 3])))
         start = stop
     fields, rows, cols, strides, p_w, p_h = (
@@ -330,10 +346,9 @@ def detect_frame(heads, anchors, config: DetectConfig,
     class_id, class_score, confidence, corners = _score_arrays(
         objectness, fields, rows, cols, strides, p_w, p_h, input_n)
     keep = _nms_engine(confidence, corners, class_id, objectness, config.nms)
-    # `not <` lets a NaN confidence through to Detection, which rejects it
     return [_detection(i, class_names, class_id, objectness, class_score,
                        confidence, corners)
-            for i in keep if not confidence[i] < config.confidence_floor]
+            for i in keep if confidence[i] >= config.confidence_floor]
 
 
 # logit magnitude for hard 0/1 targets: sigmoid(12) differs from 1 by 6e-6,
@@ -355,16 +370,15 @@ def ground_truth_heads(labels, num_classes: int, input_n: int,
     if len(anchors) != 9:
         raise ShapeError(f"need 9 anchors, got {len(anchors)}")
     grids = grid_sizes(input_n)
-    per_slot = 5 + num_classes
-    arrays = [np.zeros((g, g, 3 * per_slot)) for g in grids]
-    for arr in arrays:
-        arr.reshape(-1, per_slot)[:, 4:] = -_HOT_LOGIT
+    arrays = [np.zeros((g, g, head_channels(num_classes))) for g in grids]
+    slots = [_head_fields(arr, num_classes)[1] for arr in arrays]
+    for fields in slots:
+        fields[:, 4:] = -_HOT_LOGIT
 
     def logit(p: float) -> float:
         p = min(max(p, 1e-6), 1.0 - 1e-6)
         return math.log(p / (1.0 - p))
 
-    occupied: set[tuple[int, int, int, int]] = set()
     for class_id, box in labels:
         if not (0 <= class_id < num_classes):
             raise ValueError(f"class_id {class_id} outside 0..{num_classes - 1}")
@@ -373,25 +387,19 @@ def ground_truth_heads(labels, num_classes: int, input_n: int,
         ranked = sorted(range(9), key=lambda k: (
             abs(math.log(w_px / anchors[k].p_w))
             + abs(math.log(h_px / anchors[k].p_h))))
-        placed = False
         for k in ranked:
             scale, slot = divmod(k, 3)
             g = grids[scale]
             row, col = responsible_cell(box, g)
-            if (scale, row, col, slot) in occupied:
+            vec = slots[scale][(row * g + col) * 3 + slot]
+            if vec[4] == _HOT_LOGIT:  # taken by an earlier label
                 continue
-            base = slot * per_slot
-            cellvec = arrays[scale][row, col]
-            cellvec[base + 0] = logit(box.cx * g - col)
-            cellvec[base + 1] = logit(box.cy * g - row)
-            cellvec[base + 2] = math.log(w_px / anchors[k].p_w)
-            cellvec[base + 3] = math.log(h_px / anchors[k].p_h)
-            cellvec[base + 4] = _HOT_LOGIT
-            cellvec[base + 5 + class_id] = _HOT_LOGIT
-            occupied.add((scale, row, col, slot))
-            placed = True
+            vec[:4] = (logit(box.cx * g - col), logit(box.cy * g - row),
+                       math.log(w_px / anchors[k].p_w),
+                       math.log(h_px / anchors[k].p_h))
+            vec[4] = vec[5 + class_id] = _HOT_LOGIT
             break
-        if not placed:
+        else:
             raise ValueError(
                 f"no free anchor slot for a box at cell "
                 f"{responsible_cell(box, grids[0])}; too many coincident boxes")

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from yolokit import postprocess
 from yolokit.boxes import (Anchor, BoxCorner, BoxNorm, RawPrediction,
                            corner_to_norm, decode_box, decode_center, iou,
                            iou_one_to_many, norm_to_corner, responsible_cell,
@@ -193,16 +194,24 @@ def test_decode_center_stays_inside_cell():
 def test_decode_box_matches_scalar_oracle():
     rng = np.random.default_rng(42)
     anchors = [Anchor(12, 16), Anchor(76, 55), Anchor(459, 401)]
+    raws = []
     for _ in range(500):
         grid_n, input_n = (13, 416) if rng.integers(2) else (19, 608)
         anchor = anchors[int(rng.integers(3))]
         raw = make_raw(rng, grid_n, input_n, anchor)
+        raws.append(raw)
         box = decode_box(raw, anchor, grid_n, input_n)
         _, _, clamped = decode_ref(
             raw.t_x, raw.t_y, raw.t_w, raw.t_h, raw.cell[0], raw.cell[1],
             grid_n, input_n, anchor.p_w, anchor.p_h)
         for got, want in zip((box.x_min, box.y_min, box.x_max, box.y_max), clamped):
+            assert type(got) is float
             assert abs(got - want) <= 1e-12
+    # the array decode that scoring and `detect` run gives the same boxes
+    for input_n in (416, 608):
+        same = [raw for raw in raws if raw.input_n == input_n]
+        for raw, det in zip(same, postprocess.score_predictions(same)):
+            assert det.box == decode_box(raw, raw.anchor, raw.grid_n, input_n)
 
 
 def test_decode_box_clamps_to_frame():

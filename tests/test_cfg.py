@@ -129,6 +129,13 @@ def test_route_rejects_forward_and_self_references():
             NET_416 + "[convolutional]\nfilters=8\nsize=1\n[route]\nlayers=1\n"))
     with pytest.raises(CfgError):
         propagate_shapes(parse_cfg(NET_416 + "[route]\nlayers=-1\n"))
+    # references that are not integers name the [route] line
+    for layers in ("abc", "1.5", "", "-1,abc", "-1,1.5"):
+        with pytest.raises(CfgError, match=r"^line 8: \[route\] key 'layers' "
+                           r"must be an integer or a list of integers"):
+            propagate_shapes(parse_cfg(
+                NET_416 + "[convolutional]\nfilters=8\nsize=1\n"
+                f"[route]\nlayers={layers}\n"))
 
 
 def test_route_rejects_spatial_mismatch():
@@ -176,6 +183,14 @@ def test_window_collapse_is_an_error():
             "[convolutional]\nfilters=8\nsize=3\nstride=2\npad=1\n"
             "[convolutional]\nfilters=8\nsize=3\nstride=2\npad=1\n"
             "[convolutional]\nfilters=8\nsize=33\nstride=1\n"))
+    # a zero stride or size or a zero-sized input has no output shape
+    for section in ("[convolutional]\nfilters=8\nstride=0\n",
+                    "[convolutional]\nfilters=8\nsize=0\n",
+                    "[maxpool]\nstride=0\n", "[upsample]\nstride=0\n"):
+        with pytest.raises(CfgError, match=r"^line 5: .* must be at least 1, got 0"):
+            propagate_shapes(parse_cfg(NET_416 + section))
+    with pytest.raises(CfgError, match=r"^line 1: .*'width' must be at least 1"):
+        propagate_shapes(parse_cfg("[net]\nwidth=0\nheight=32\n[yolo]\n"))
 
 
 def test_propagation_is_idempotent():

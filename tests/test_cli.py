@@ -194,17 +194,21 @@ def test_detect_rejects_a_nan_box(tmp_path, capsys):
     heads = postprocess.ground_truth_heads(
         [(1, BoxNorm(0.25, 0.25, 0.25, 0.25))], 2, 64, cli.DEFAULT_ANCHORS)
     head_files = [tmp_path / f"part.h{k}" for k in range(3)]
-    for path, head in zip(head_files, heads):
-        values = head.data.copy()
-        slots = values.reshape(-1, 5 + 2)
-        slots[slots[:, 4] > 0, 0] = np.nan  # t_x of the hot slot
-        path.write_bytes(cli.write_head_bytes(Tensor(values)))
-    out = tmp_path / "part.txt"
-    rc = cli.main(["detect", "--heads", *map(str, head_files),
-                   "--classes", str(tmp_path / "classes.txt"), "--out", str(out)])
-    assert rc == 2
-    assert "nan" in capsys.readouterr().err
-    assert not out.exists()
+    # t_x of the hot slot, then its class 0 logit, which is not the top
+    # class: the box and the score would both be NaN
+    for field in (0, 5):
+        for path, head in zip(head_files, heads):
+            values = head.data.copy()
+            slots = values.reshape(-1, 5 + 2)
+            slots[slots[:, 4] > 0, field] = np.nan
+            path.write_bytes(cli.write_head_bytes(Tensor(values)))
+        out = tmp_path / "part.txt"
+        rc = cli.main(["detect", "--heads", *map(str, head_files),
+                       "--classes", str(tmp_path / "classes.txt"), "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("yolokit: scale ") and "nan" in err
+        assert not out.exists()
 
 
 def test_eval_reports_failures_with_exit_one(tmp_path, capsys):
@@ -340,6 +344,19 @@ def test_exit_code_two_on_parse_error(tmp_path, capsys):
     bad.write_text("[net\nwidth=608\n")
     assert cli.main(["netinfo", str(bad)]) == 2
     assert capsys.readouterr().err.startswith(f"yolokit: {bad}: line 1: ")
+    # a graph error names the file too
+    bad.write_text("[net]\nwidth=32\nheight=32\n[route]\nlayers=-5\n")
+    assert cli.main(["netinfo", str(bad)]) == 2
+    assert capsys.readouterr().err.startswith(
+        f"yolokit: {bad}: line 4: [route] reference -5 resolves to layer -5")
+    # a labelImg class missing from classes.txt
+    src = tiny_dataset(tmp_path / "src", label="gear 1 1 20 20\ncog 1 1 20 20\n")
+    rc = cli.main(["labels", "convert", "--from", "labelimg", "--to", "yolo",
+                   "--dir", str(src), "--classes", str(src / "classes.txt"),
+                   "--out", str(tmp_path / "converted")])
+    assert rc == 2
+    assert capsys.readouterr().err == \
+        f"yolokit: {src / 'part.txt'}: unknown class 'cog'\n"
 
 
 def test_exit_code_three_on_missing_file(tmp_path, capsys):

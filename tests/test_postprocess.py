@@ -341,6 +341,47 @@ def test_detect_frame_clips_an_overflowing_size_without_warning():
         ("a", BoxCorner(0.0, 0.0, 64.0, 64.0))]
 
 
+def test_both_paths_reject_a_nan_logit_and_keep_infinite_ones():
+    names = ["a", "b", "c"]
+    config = DetectConfig()
+
+    def paths(*writes):
+        """Both paths on a 64 px frame whose one hot slot is scale 0,
+        cell (2, 3), slot 1 (channels 8..15), after (scale, row, col,
+        channel, value) writes."""
+        arrays = [np.full((g, g, 3 * 8), -12.0) for g in (8, 4, 2)]
+        arrays[0][2, 3, 8:16] = (0.0, 0.0, 0.1, -0.1, 12.0, 12.0, -12.0, -12.0)
+        for scale, row, col, channel, value in writes:
+            arrays[scale][row, col, channel] = value
+        heads = [Tensor(arr) for arr in arrays]
+        results = []
+        for run in (
+                lambda: detect_frame(heads, NINE_ANCHORS, config, names),
+                lambda: two_stage_filter(nms(score_predictions(
+                    [r for k, head in enumerate(heads)
+                     for r in extract_predictions(
+                         head, NINE_ANCHORS[k * 3:k * 3 + 3], 3, 64, k)],
+                    names), config.nms), config.confidence_floor)):
+            try:
+                results.append([(d.class_name, d.box) for d in run()])
+            except ValueError as exc:
+                results.append(str(exc))
+        return results
+
+    clean = paths()
+    assert clean[0] == clean[1] and len(clean[0]) == 1
+    # a NaN in a class that is not the top class, at the only hot slot
+    assert paths((0, 2, 3, 14, np.nan)) == [
+        "scale 0, cell (2, 3), slot 1, channel 14: logit is nan"] * 2
+    # a NaN objectness at a cold slot of the coarsest scale
+    assert paths((2, 1, 0, 20, np.nan)) == [
+        "scale 2, cell (1, 0), slot 2, channel 20: logit is nan"] * 2
+    # infinite logits clip: a frame-wide box of a certain class
+    infinite = paths((0, 2, 3, 10, np.inf), (0, 2, 3, 11, np.inf),
+                     (0, 2, 3, 14, -np.inf), (0, 2, 3, 15, np.inf))
+    assert infinite[0] == infinite[1] == [("c", BoxCorner(0.0, 0.0, 64.0, 64.0))]
+
+
 def test_detect_frame_validation():
     heads = [Tensor.zeros(8, 8, 24), Tensor.zeros(4, 4, 24)]
     with pytest.raises(ShapeError):
