@@ -47,12 +47,6 @@ class NetGraph:
         self.layers = tuple(layers)
         self.shapes = tuple(shapes) if shapes is not None else None
 
-    @property
-    def input(self) -> tuple[int, int, int]:
-        net = self.layers[0].attributes
-        return (int(net.get("height", 0)), int(net.get("width", 0)),
-                int(net.get("channels", 3)))
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, NetGraph):
             return NotImplemented
@@ -173,7 +167,7 @@ def _window_out(size: int, kernel: int, stride: int, total_pad: int,
     return out
 
 
-def _resolve_ref(ref: int, own_index: int, n_layers: int, spec: LayerSpec) -> int:
+def _resolve_ref(ref: int, own_index: int, spec: LayerSpec) -> int:
     """Darknet layer reference to absolute darknet index (earlier only)."""
     target = own_index + ref if ref < 0 else ref
     if not (0 <= target < own_index):
@@ -228,7 +222,7 @@ def propagate_shapes(graph: NetGraph) -> NetGraph:
                    _window_out(w, size, stride, padding, spec, "width"),
                    c)
         elif spec.kind == "route":
-            targets = [_resolve_ref(r, own, len(shapes), spec)
+            targets = [_resolve_ref(r, own, spec)
                        for r in _as_ints(attrs, "layers", spec)]
             parts = [shapes[t + 1] for t in targets]
             rh, rw = parts[0][0], parts[0][1]
@@ -248,10 +242,7 @@ def propagate_shapes(graph: NetGraph) -> NetGraph:
                 total_c //= groups
             out = (rh, rw, total_c)
         elif spec.kind == "shortcut":
-            ref = attrs.get("from")
-            if not isinstance(ref, int):
-                raise CfgError("[shortcut] missing integer 'from'", spec.source_line)
-            target = _resolve_ref(ref, own, len(shapes), spec)
+            target = _resolve_ref(_as_int(attrs, "from", None, spec), own, spec)
             other = shapes[target + 1]
             if other != prev:
                 raise CfgError(
@@ -297,7 +288,8 @@ def census(graph: NetGraph) -> NetCensus:
 
     Conv parameters: filters*in_channels*k*k weights + filters biases,
     plus 3 per filter (scale, rolling mean, rolling variance) when
-    batch_normalize=1. Neurons per conv layer: out_h * out_w * filters.
+    batch_normalize=1, a non-integer value being a CfgError. `filters` is
+    the propagated output depth. Neurons per conv layer: out_h*out_w*filters.
     """
     if graph.shapes is None:
         graph = propagate_shapes(graph)
@@ -314,11 +306,10 @@ def census(graph: NetGraph) -> NetCensus:
         if spec.kind == "convolutional":
             conv_count += 1
             hidden += neurons
-            filters = int(spec.attributes["filters"])
-            size = int(spec.attributes.get("size", 1))
+            filters, size = out[2], _as_int(spec.attributes, "size", 1, spec)
             prev_c = graph.shapes[list_idx - 1][2]
             params = filters * prev_c * size * size + filters
-            if spec.attributes.get("batch_normalize", 0) == 1:
+            if _as_int(spec.attributes, "batch_normalize", 0, spec) == 1:
                 params += 3 * filters
         total_params += params
         rows.append(LayerStat(list_idx - 1, spec.kind, out, neurons, params))

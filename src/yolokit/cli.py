@@ -244,11 +244,9 @@ def _net_census(text: str, input_n: int | None):
     graph = cfgmod.parse_cfg(text)
     if input_n is not None:
         net = graph.layers[0]
-        attrs = dict(net.attributes)
-        attrs["width"] = input_n
-        attrs["height"] = input_n
-        graph = cfgmod.NetGraph(
-            (cfgmod.LayerSpec("net", attrs, net.source_line),) + graph.layers[1:])
+        net = replace(net, attributes={**net.attributes, "width": input_n,
+                                       "height": input_n})
+        graph = cfgmod.NetGraph((net,) + graph.layers[1:])
     graph = cfgmod.propagate_shapes(graph)
     return graph, cfgmod.census(graph)
 
@@ -294,14 +292,6 @@ def cmd_augment(args) -> int:
     return 0
 
 
-def _labelimg_as_yolo(text: str, image, registry) -> str:
-    """labelImg corner lines of `image` as YOLO label lines."""
-    corners = data.read_labelimg_corners(text, (image.width, image.height))
-    return data.write_yolo_labels(
-        (registry.index(name), corner_to_norm(box, image.width, image.height))
-        for name, box in corners)
-
-
 def cmd_labels_convert(args) -> int:
     registry = _load(args.classes, data.ClassRegistry.from_text)
     os.makedirs(args.out, exist_ok=True)
@@ -311,14 +301,17 @@ def cmd_labels_convert(args) -> int:
             continue
         stem = os.path.splitext(name)[0]
         image = _load(os.path.join(args.dir, stem + ".ppm"), data.read_ppm)
+        w, h = image.width, image.height
         label_path = os.path.join(args.dir, name)
         if args.src == "labelimg" and args.dst == "yolo":
-            out_text = _load(label_path, _labelimg_as_yolo, image, registry)
+            # converted inside the loader: a box YOLO cannot hold names the file
+            out_text = _load(label_path, lambda text: data.write_yolo_labels(
+                (cid, corner_to_norm(box, w, h))
+                for cid, box in data.read_labelimg_corners(text, (w, h), registry)))
         elif args.src == "yolo" and args.dst == "labelimg":
             labels = _load(label_path, data.read_yolo_labels, registry)
-            corners = [(registry[cid], norm_to_corner(box, image.width, image.height))
-                       for cid, box in labels]
-            out_text = data.write_labelimg_corners(corners)
+            out_text = data.write_labelimg_corners(
+                ((cid, norm_to_corner(box, w, h)) for cid, box in labels), registry)
         else:
             raise ValueError(f"unsupported conversion {args.src} -> {args.dst}")
         _write_text(os.path.join(args.out, name), out_text)

@@ -240,16 +240,19 @@ def write_yolo_labels(labels: Iterable[tuple[int, BoxNorm]]) -> str:
         for cid, b in labels)
 
 
-def read_labelimg_corners(text: str, image_dims: tuple[int, int]) -> list[tuple[str, BoxCorner]]:
-    """Parse `class_name x_min y_min x_max y_max` pixel-corner lines.
+def read_labelimg_corners(text: str, image_dims: tuple[int, int],
+                          registry) -> list[tuple[int, BoxCorner]]:
+    """Parse `class_name x_min y_min x_max y_max` pixel-corner lines into
+    (class_id, BoxCorner) pairs, each name looked up in `registry`.
 
     `image_dims` is (width, height). Corners may exceed the image by at
     most one pixel (they are clamped); beyond that is an error, as are
-    inverted corners.
+    inverted corners and unknown class names.
     """
     img_w, img_h = image_dims
 
     def corner(parts):
+        class_id = registry.index(parts[0])
         try:
             x_min, y_min, x_max, y_max = (float(p) for p in parts[1:])
         except ValueError:
@@ -260,7 +263,7 @@ def read_labelimg_corners(text: str, image_dims: tuple[int, int]) -> list[tuple[
                 or y_max > img_h + 1.0):
             raise ValueError(f"corners outside {img_w}x{img_h} image "
                              f"beyond 1 px tolerance")
-        return parts[0], BoxCorner(
+        return class_id, BoxCorner(
             min(max(x_min, 0.0), float(img_w)),
             min(max(y_min, 0.0), float(img_h)),
             min(max(x_max, 0.0), float(img_w)),
@@ -269,11 +272,11 @@ def read_labelimg_corners(text: str, image_dims: tuple[int, int]) -> list[tuple[
     return read_records(text, 5, corner)
 
 
-def write_labelimg_corners(labels: Iterable[tuple[str, BoxCorner]]) -> str:
+def write_labelimg_corners(labels: Iterable[tuple[int, BoxCorner]], registry) -> str:
     """Inverse of read_labelimg_corners (shortest-repr floats)."""
     return "".join(
-        f"{name} {b.x_min} {b.y_min} {b.x_max} {b.y_max}\n"
-        for name, b in labels)
+        f"{registry[cid]} {b.x_min} {b.y_min} {b.x_max} {b.y_max}\n"
+        for cid, b in labels)
 
 
 # ---------------------------------------------------------------------------
@@ -324,25 +327,40 @@ def format_csv(rows: Sequence[CsvRow]) -> str:
     return buf.getvalue()
 
 
-def parse_csv(text: str) -> list[CsvRow]:
+_CSV_KINDS = (str, int, int, str, float, float, float, float)  # per CSV_HEADER field
+
+
+def _csv_field(name: str, kind, text: str):
+    """One CSV field as `kind`; a float must be finite."""
     try:
-        records = list(csv.reader(io.StringIO(text)))
-    except csv.Error as exc:
-        raise ValueError(f"malformed CSV: {exc}") from None
-    if not records:
-        raise ValueError("empty CSV (missing header)")
-    header, *body = records
-    if tuple(header) != CSV_HEADER:
-        raise ValueError(f"bad CSV header {header!r}")
+        value = kind(text)
+        if kind is not float or math.isfinite(value):
+            return value
+    except ValueError:
+        pass
+    raise ValueError(f"{name} {text!r} is not "
+                     + ("an integer" if kind is int else "a finite number"))
+
+
+def parse_csv(text: str) -> list[CsvRow]:
+    """Parse `format_csv` text. Every error but an empty text is a
+    ValueError with `line N: ` in front, and a bad number names its field."""
+    reader = csv.reader(io.StringIO(text))
     rows: list[CsvRow] = []
-    for record in body:
-        if not record:
-            continue
-        if len(record) != len(CSV_HEADER):
-            raise ValueError(f"CSV row with {len(record)} fields: {record!r}")
-        rows.append(CsvRow(record[0], int(record[1]), int(record[2]), record[3],
-                           float(record[4]), float(record[5]),
-                           float(record[6]), float(record[7])))
+    try:
+        header = next(reader, None)
+        if header is not None and tuple(header) != CSV_HEADER:
+            raise ValueError(f"bad CSV header {header!r}")
+        for record in filter(None, reader):
+            if len(record) != len(CSV_HEADER):
+                raise ValueError(f"CSV row with {len(record)} fields: {record!r}")
+            rows.append(CsvRow(*map(_csv_field, CSV_HEADER, _CSV_KINDS, record)))
+    except csv.Error as exc:
+        raise ValueError(f"line {reader.line_num}: malformed CSV: {exc}") from None
+    except ValueError as exc:
+        raise ValueError(f"line {reader.line_num}: {exc}") from None
+    if header is None:
+        raise ValueError("empty CSV (missing header)")
     return rows
 
 
@@ -384,9 +402,10 @@ def _rotate_quarter_labels(labels, quarter: int):
     return tuple(out)
 
 
-def rotate(sample: LabeledImage, degrees: float, clockwise: bool = True,
+def rotate(sample: LabeledImage, degrees: float,
            min_visible: float = 0.2) -> LabeledImage:
-    """Rotate about the image center onto a same-size canvas.
+    """Rotate clockwise about the image center onto a same-size canvas
+    (negative degrees turn counter-clockwise).
 
     Square-canvas multiples of 90 degrees use an exact pixel permutation
     and exact label coordinate maps. Any other angle resamples nearest
@@ -395,7 +414,7 @@ def rotate(sample: LabeledImage, degrees: float, clockwise: bool = True,
     clipped to the canvas; a label whose clipped box area falls below
     `min_visible` of its original box area is dropped.
     """
-    deg = float(degrees) % 360.0 if clockwise else (-float(degrees)) % 360.0
+    deg = float(degrees) % 360.0
     img = sample.image
     h, w = img.height, img.width
     if deg == 0.0:
@@ -412,9 +431,8 @@ def rotate(sample: LabeledImage, degrees: float, clockwise: bool = True,
     cx0, cy0 = w / 2.0, h / 2.0
 
     # inverse map: for each destination pixel center, rotate back by theta
-    ys, xs = np.mgrid[0:h, 0:w]
-    dx = xs + 0.5 - cx0
-    dy = ys + 0.5 - cy0
+    dx = np.arange(w) + 0.5 - cx0
+    dy = (np.arange(h) + 0.5 - cy0)[:, None]
     # clockwise forward is (x cos - y sin, x sin + y cos) with y down, so
     # the inverse uses the transpose
     src_x = np.floor(cos_t * dx + sin_t * dy + cx0).astype(np.int64)

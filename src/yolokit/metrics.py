@@ -214,18 +214,13 @@ def scenario_report(samples, scenario: str,
                    confidence_stats=stats)
 
 
-def _class_key(class_id: int, class_names) -> str:
-    return class_names[class_id] if class_names is not None else str(class_id)
-
-
-def report_to_json(report: EvalReport, class_names=None) -> str:
-    """EvalReport as pretty JSON; class keys are names when a registry is
-    supplied, else decimal class ids."""
+def report_to_json(report: EvalReport, class_names) -> str:
+    """EvalReport as pretty JSON, class keys named from `class_names`."""
     payload = {
         "map_50_95": report.map_50_95,
         "map_50": report.map_50,
         "per_class_ap": {
-            _class_key(c, class_names): {f"{t:.2f}": ap for t, ap in by_thr.items()}
+            class_names[c]: {f"{t:.2f}": ap for t, ap in by_thr.items()}
             for c, by_thr in report.per_class_ap.items()
         },
     }
@@ -243,13 +238,13 @@ def report_to_json(report: EvalReport, class_names=None) -> str:
     return json.dumps(payload, indent=2)
 
 
-def report_table(report: EvalReport, class_names=None) -> str:
+def report_table(report: EvalReport, class_names) -> str:
     """Aligned text table of per-class AP at 0.50, 0.75 and the 0.50:0.95
     mean, with aggregate rows."""
     rows = [("class", "AP@0.50", "AP@0.75", "AP@0.50:0.95")]
     for c, by_thr in report.per_class_ap.items():
         mean_ap = sum(by_thr.values()) / len(by_thr)
-        rows.append((_class_key(c, class_names), f"{by_thr[0.5]:.4f}",
+        rows.append((class_names[c], f"{by_thr[0.5]:.4f}",
                      f"{by_thr[0.75]:.4f}", f"{mean_ap:.4f}"))
     rows.append(("mAP", f"{report.map_50:.4f}", "", f"{report.map_50_95:.4f}"))
     widths = [max(len(r[i]) for r in rows) for i in range(4)]

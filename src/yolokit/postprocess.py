@@ -35,7 +35,7 @@ import numpy as np
 from .boxes import (BoxCorner, RawPrediction, decode_corners,
                     iou_one_to_many, responsible_cell, sigmoid)
 from .cfg import grid_sizes, head_channels
-from .data import read_records
+from .data import ClassRegistry, read_records
 from .tensor import ShapeError, Tensor
 
 
@@ -108,27 +108,20 @@ def _head_fields(head: np.ndarray, num_classes: int):
     return height, head.reshape(height * width * 3, expect // 3)
 
 
-def _slot_geometry(index, grid_n: int, input_n: int, anchors):
-    """Grid rows, columns, strides and anchor widths and heights of the
-    `_head_fields` rows at `index` of one scale with priors `anchors`."""
+def _scale_rows(fields, index, scale, grid_n, input_n, anchors):
+    """The `_head_fields` rows at `index` of head `scale`, with their grid
+    rows, columns, strides and `anchors` widths and heights. A NaN in them
+    raises ValueError; infinite logits are legal: scores and boxes clip them."""
+    gathered = fields[index]
     cell, slot = np.divmod(index, 3)
     rows, cols = np.divmod(cell, grid_n)
-    return (rows, cols, np.full(index.size, input_n / grid_n),
-            np.array([a.p_w for a in anchors])[slot],
-            np.array([a.p_h for a in anchors])[slot])
-
-
-def _reject_nan(fields, index, scale: int, grid_n: int) -> None:
-    """Raise ValueError naming the first NaN in `fields`, the
-    `_head_fields` rows at `index` of head `scale`. Infinite logits are
-    legal: scores and boxes clip them."""
-    bad = np.isnan(fields)
+    bad = np.isnan(gathered)
     if bad.any():
         i, field = np.argwhere(bad)[0]
-        cell, slot = divmod(int(index[i]), 3)
-        row, col = divmod(cell, grid_n)
-        raise ValueError(f"scale {scale}, cell ({row}, {col}), slot {slot}, "
-                         f"channel {slot * fields.shape[1] + field}: logit is nan")
+        raise ValueError(f"scale {scale}, cell ({rows[i]}, {cols[i]}), slot {slot[i]}, "
+                         f"channel {slot[i] * fields.shape[1] + field}: logit is nan")
+    priors = np.array([(a.p_w, a.p_h) for a in anchors])[slot]
+    return gathered, rows, cols, np.full(index.size, input_n / grid_n), *priors.T
 
 
 def extract_predictions(head: Tensor, anchors, num_classes: int,
@@ -143,9 +136,8 @@ def extract_predictions(head: Tensor, anchors, num_classes: int,
     if len(anchors) != 3:
         raise ShapeError(f"need exactly 3 anchors per scale, got {len(anchors)}")
     grid_n, fields = _head_fields(head.data, num_classes)
-    index = np.arange(fields.shape[0])
-    _reject_nan(fields, index, scale_index, grid_n)
-    rows, cols, *_ = _slot_geometry(index, grid_n, input_n, anchors)
+    fields, rows, cols, *_ = _scale_rows(
+        fields, np.arange(fields.shape[0]), scale_index, grid_n, input_n, anchors)
     return [RawPrediction(
         t_x=vec[0], t_y=vec[1], t_w=vec[2], t_h=vec[3],
         objectness_logit=vec[4], class_logits=tuple(vec[5:]),
@@ -178,14 +170,13 @@ def _score_arrays(objectness, fields, rows, cols, strides, p_w, p_h,
 
 def _detection(i, class_names, class_id, objectness, class_score,
                confidence, corners) -> Detection:
-    """Row i of the scored arrays as a Detection; the class name is the
-    decimal class_id when `class_names` is None."""
+    """Row i of the scored arrays as a Detection named from `class_names`."""
     cid = int(class_id[i])
     return Detection(
         box=BoxCorner(float(corners[i, 0]), float(corners[i, 1]),
                       float(corners[i, 2]), float(corners[i, 3])),
         class_id=cid,
-        class_name=class_names[cid] if class_names is not None else str(cid),
+        class_name=class_names[cid],
         objectness=float(objectness[i]),
         class_score=float(class_score[i]),
         confidence=float(confidence[i]),
@@ -193,12 +184,8 @@ def _detection(i, class_names, class_id, objectness, class_score,
 
 
 def score_predictions(raws: list[RawPrediction],
-                      class_names=None) -> list[Detection]:
-    """Score and decode raw predictions into Detections.
-
-    Class names come from `class_names` when given (indexed by class_id),
-    else the decimal class_id string is used.
-    """
+                      class_names) -> list[Detection]:
+    """Score and decode raw predictions into Detections named from `class_names`."""
     if not raws:
         return []
     input_n = raws[0].input_n
@@ -334,10 +321,8 @@ def detect_frame(heads, anchors, config: DetectConfig,
         stop = start + fields.shape[0]
         index = live[np.searchsorted(live, start):
                      np.searchsorted(live, stop)] - start
-        gated = fields[index]
-        _reject_nan(gated, index, scale, grid_n)
-        parts.append((gated, *_slot_geometry(
-            index, grid_n, input_n, anchors[scale * 3:scale * 3 + 3])))
+        parts.append(_scale_rows(fields, index, scale, grid_n, input_n,
+                                 anchors[scale * 3:scale * 3 + 3]))
         start = stop
     fields, rows, cols, strides, p_w, p_h = (
         np.concatenate(column) for column in zip(*parts))
@@ -426,16 +411,14 @@ def parse_detection_lines(text: str, class_names) -> list[Detection]:
     malformed lines and invalid or NaN values raise ValueError with the
     line number.
     """
-    name_to_id = {name: i for i, name in enumerate(class_names)}
+    registry = ClassRegistry(class_names)
 
     def detection(parts):
-        name = parts[0]
-        if name not in name_to_id:
-            raise ValueError(f"unknown class {name!r}")
+        class_id = registry.index(parts[0])
         conf, x_min, y_min, x_max, y_max = (float(p) for p in parts[1:])
         return Detection(
             box=BoxCorner(x_min, y_min, x_max, y_max),
-            class_id=name_to_id[name], class_name=name,
+            class_id=class_id, class_name=parts[0],
             objectness=conf, class_score=1.0, confidence=conf,
         )
 

@@ -210,7 +210,7 @@ def test_decode_box_matches_scalar_oracle():
     # the array decode that scoring and `detect` run gives the same boxes
     for input_n in (416, 608):
         same = [raw for raw in raws if raw.input_n == input_n]
-        for raw, det in zip(same, postprocess.score_predictions(same)):
+        for raw, det in zip(same, postprocess.score_predictions(same, ["c0"])):
             assert det.box == decode_box(raw, raw.anchor, raw.grid_n, input_n)
 
 

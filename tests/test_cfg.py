@@ -18,7 +18,7 @@ def test_parse_minimal_net():
     graph = parse_cfg(NET_416)
     assert len(graph.layers) == 1
     assert graph.layers[0].kind == "net"
-    assert graph.input == (416, 416, 3)
+    assert propagate_shapes(graph).shapes[0] == (416, 416, 3)
 
 
 def test_parse_value_typing():
@@ -223,6 +223,9 @@ def test_census_parameter_formula():
     assert normed.total_parameters == 32 * 3 * 3 * 3 + 32 + 3 * 32
     assert plain.total_parameters == conv_params_ref(32, 3, 3, False)
     assert normed.total_parameters == conv_params_ref(32, 3, 3, True)
+    # a batch_normalize that is not an integer is an error, not "off"
+    with pytest.raises(CfgError, match=r"^line 5: .*'batch_normalize' must be an integer"):
+        census(parse_cfg(NET_416 + "[convolutional]\nbatch_normalize=abc\nfilters=4\n"))
 
 
 def test_census_full_network(yolov4_text):

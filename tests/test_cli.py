@@ -349,14 +349,15 @@ def test_exit_code_two_on_parse_error(tmp_path, capsys):
     assert cli.main(["netinfo", str(bad)]) == 2
     assert capsys.readouterr().err.startswith(
         f"yolokit: {bad}: line 4: [route] reference -5 resolves to layer -5")
-    # a labelImg class missing from classes.txt
-    src = tiny_dataset(tmp_path / "src", label="gear 1 1 20 20\ncog 1 1 20 20\n")
-    rc = cli.main(["labels", "convert", "--from", "labelimg", "--to", "yolo",
-                   "--dir", str(src), "--classes", str(src / "classes.txt"),
-                   "--out", str(tmp_path / "converted")])
-    assert rc == 2
-    assert capsys.readouterr().err == \
-        f"yolokit: {src / 'part.txt'}: unknown class 'cog'\n"
+    # a labelImg class missing from classes.txt, and a box YOLO cannot hold
+    for line, message in (("cog 1 1 20 20", "line 2: unknown class 'cog'"),
+                          ("gear 3 3 3 9", "size (0.0, 0.09375) outside (0, 1]")):
+        src = tiny_dataset(tmp_path / "src", label=f"gear 1 1 20 20\n{line}\n")
+        rc = cli.main(["labels", "convert", "--from", "labelimg", "--to", "yolo",
+                       "--dir", str(src), "--classes", str(src / "classes.txt"),
+                       "--out", str(tmp_path / "converted")])
+        assert rc == 2
+        assert capsys.readouterr().err == f"yolokit: {src / 'part.txt'}: {message}\n"
 
 
 def test_exit_code_three_on_missing_file(tmp_path, capsys):

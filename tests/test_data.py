@@ -1,6 +1,7 @@
 """Image I/O, label formats, CSV aggregation, augmentation and scenes."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -147,40 +148,43 @@ def test_yolo_labels_errors(registry13):
 # ---------------------------------------------------------------------------
 # pixel-corner label text
 
-def test_labelimg_worked_example():
-    labels = read_labelimg_corners("gear 10 10 50 50\n", (100, 100))
-    assert labels == [("gear", BoxCorner(10.0, 10.0, 50.0, 50.0))]
+def test_labelimg_worked_example(registry13):
+    labels = read_labelimg_corners("gear 10 10 50 50\n", (100, 100), registry13)
+    assert labels == [(3, BoxCorner(10.0, 10.0, 50.0, 50.0))]
     from yolokit.boxes import corner_to_norm
     norm = corner_to_norm(labels[0][1], 100, 100)
     assert (norm.cx, norm.cy, norm.w, norm.h) == (0.3, 0.3, 0.4, 0.4)
 
 
-def test_labelimg_one_pixel_tolerance():
-    labels = read_labelimg_corners("gear -0.5 0 100.5 99\n", (100, 100))
+def test_labelimg_one_pixel_tolerance(registry13):
+    labels = read_labelimg_corners("gear -0.5 0 100.5 99\n", (100, 100), registry13)
     box = labels[0][1]
     assert box.x_min == 0.0 and box.x_max == 100.0
     with pytest.raises(ValueError):
-        read_labelimg_corners("gear -2 0 50 50\n", (100, 100))
+        read_labelimg_corners("gear -2 0 50 50\n", (100, 100), registry13)
     with pytest.raises(ValueError):
-        read_labelimg_corners("gear 0 0 50 102\n", (100, 100))
+        read_labelimg_corners("gear 0 0 50 102\n", (100, 100), registry13)
 
 
-def test_labelimg_errors():
+def test_labelimg_errors(registry13):
     with pytest.raises(ValueError):
-        read_labelimg_corners("gear 50 0 10 50\n", (100, 100))
+        read_labelimg_corners("gear 50 0 10 50\n", (100, 100), registry13)
     with pytest.raises(ValueError):
-        read_labelimg_corners("gear 0 0 50\n", (100, 100))
+        read_labelimg_corners("gear 0 0 50\n", (100, 100), registry13)
     with pytest.raises(ValueError):
-        read_labelimg_corners("gear a 0 50 50\n", (100, 100))
-    for line in ("gear nan 0 50 50", "gear 0 0 50 nan"):
-        with pytest.raises(ValueError, match="line 2"):
-            read_labelimg_corners(f"gear 0 0 50 50\n{line}\n", (100, 100))
+        read_labelimg_corners("gear a 0 50 50\n", (100, 100), registry13)
+    for line, message in (("gear nan 0 50 50", "line 2: "),
+                          ("gear 0 0 50 nan", "line 2: "),
+                          ("cog 0 0 50 50", "line 2: unknown class 'cog'")):
+        with pytest.raises(ValueError, match=message):
+            read_labelimg_corners(f"gear 0 0 50 50\n{line}\n", (100, 100), registry13)
 
 
-def test_labelimg_round_trip():
-    labels = [("bolt", BoxCorner(1.25, 2.5, 30.0, 40.75))]
-    text = write_labelimg_corners(labels)
-    assert read_labelimg_corners(text, (100, 100)) == labels
+def test_labelimg_round_trip(registry13):
+    labels = [(0, BoxCorner(1.25, 2.5, 30.0, 40.75))]
+    text = write_labelimg_corners(labels, registry13)
+    assert text == "bolt 1.25 2.5 30.0 40.75\n"
+    assert read_labelimg_corners(text, (100, 100), registry13) == labels
 
 
 # ---------------------------------------------------------------------------
@@ -217,13 +221,23 @@ def test_csv_second_write_byte_identical(registry13):
 
 
 def test_csv_parse_errors():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^empty CSV"):
         parse_csv("")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^line 1: bad CSV header"):
         parse_csv("bogus,header\n")
     header = ",".join(CSV_HEADER) + "\n"
-    with pytest.raises(ValueError):
-        parse_csv(header + "a.ppm,64,64,bolt,1,2,3\n")
+    good = "a.ppm,64,64,bolt,1,2,3,4\n"
+    for body, message in (
+            ("a.ppm,64,64,bolt,1,2,3\n", "line 2: CSV row with 7 fields"),
+            ("a.ppm,6x4,64,bolt,1,2,3,4\n", "line 2: width '6x4' is not an integer"),
+            (good + "\na.ppm,64,6.5,bolt,1,2,3,4\n",
+             "line 4: height '6.5' is not an integer"),
+            ("a.ppm,64,64,bolt,1,2,x,4\n", "line 2: x_max 'x' is not a finite number"),
+            ("a.ppm,64,64,bolt,nan,1,2,3\n", "line 2: x_min 'nan' is not a finite number"),
+            ("a.ppm,64,64,bolt,1,2,3,inf\n", "line 2: y_max 'inf' is not a finite number"),
+            (good + "a\rb,1\n", "line 3: malformed CSV: ")):
+        with pytest.raises(ValueError, match="^" + re.escape(message)):
+            parse_csv(header + body)
 
 
 def test_csv_row_values(registry13):
@@ -299,7 +313,7 @@ def test_rotate_quarter_turns_compose():
     twice = rotate(once, 90.0)
     assert twice.image == rotate(sample, 180.0).image
     assert twice.labels == rotate(sample, 180.0).labels
-    counter = rotate(sample, 90.0, clockwise=False)
+    counter = rotate(sample, -90.0)
     assert counter.image == rotate(sample, 270.0).image
     assert counter.labels == rotate(sample, 270.0).labels
 

@@ -73,7 +73,7 @@ def test_score_matches_scalar_recomputation():
     rng = np.random.default_rng(42)
     head = Tensor(rng.normal(0.0, 2.0, (4, 4, 3 * 9)))
     raws = extract_predictions(head, SCALE_ANCHORS, 4, 128)
-    dets = score_predictions(raws)
+    dets = score_predictions(raws, ["a", "b", "c", "d"])
     assert len(dets) == len(raws)
     for raw, det in zip(raws, dets):
         obj = sigmoid_ref(raw.objectness_logit)
@@ -89,7 +89,8 @@ def test_score_matches_scalar_recomputation():
 def test_score_argmax_tie_takes_lowest_class():
     raw_vec = [0.0, 0.0, 0.0, 0.0, 1.0, 0.5, 2.5, 2.5]
     head = Tensor(np.array(raw_vec * 3, dtype=float).reshape(1, 1, 24))
-    dets = score_predictions(extract_predictions(head, SCALE_ANCHORS, 3, 32))
+    dets = score_predictions(extract_predictions(head, SCALE_ANCHORS, 3, 32),
+                             ["a", "b", "c"])
     assert all(d.class_id == 1 for d in dets)
 
 
@@ -98,16 +99,14 @@ def test_score_names_and_defaults():
     raws = extract_predictions(head, SCALE_ANCHORS, 2, 32)
     named = score_predictions(raws, ["cat", "dog"])
     assert named[0].class_name == "cat"
-    plain = score_predictions(raws)
-    assert plain[0].class_name == "0"
-    assert score_predictions([]) == []
+    assert score_predictions([], ["cat", "dog"]) == []
 
 
 def test_score_rejects_mixed_input_sizes():
     a = extract_predictions(Tensor.zeros(1, 1, 21), SCALE_ANCHORS, 2, 32)
     b = extract_predictions(Tensor.zeros(1, 1, 21), SCALE_ANCHORS, 2, 64)
     with pytest.raises(ShapeError):
-        score_predictions(a + b)
+        score_predictions(a + b, ["cat", "dog"])
 
 
 def test_detection_rejects_out_of_range_scores():
