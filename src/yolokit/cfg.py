@@ -288,8 +288,9 @@ def census(graph: NetGraph) -> NetCensus:
 
     Conv parameters: filters*in_channels*k*k weights + filters biases,
     plus 3 per filter (scale, rolling mean, rolling variance) when
-    batch_normalize=1, a non-integer value being a CfgError. `filters` is
-    the propagated output depth. Neurons per conv layer: out_h*out_w*filters.
+    batch_normalize is non-zero, as in darknet, a non-integer value being
+    a CfgError. `filters` is the propagated output depth. Neurons per conv
+    layer: out_h*out_w*filters.
     """
     if graph.shapes is None:
         graph = propagate_shapes(graph)
@@ -309,7 +310,7 @@ def census(graph: NetGraph) -> NetCensus:
             filters, size = out[2], _as_int(spec.attributes, "size", 1, spec)
             prev_c = graph.shapes[list_idx - 1][2]
             params = filters * prev_c * size * size + filters
-            if _as_int(spec.attributes, "batch_normalize", 0, spec) == 1:
+            if _as_int(spec.attributes, "batch_normalize", 0, spec):
                 params += 3 * filters
         total_params += params
         rows.append(LayerStat(list_idx - 1, spec.kind, out, neurons, params))

@@ -31,15 +31,10 @@ import numpy as np
 from . import cfg as cfgmod
 from . import data, metrics, postprocess
 from .boxes import Anchor, BoxNorm, corner_to_norm, norm_to_corner
+from .postprocess import DEFAULT_ANCHORS
 from .tensor import ShapeError, Tensor
 
 HEAD_MAGIC = b"YF01"
-
-DEFAULT_ANCHORS = (
-    Anchor(12, 16), Anchor(19, 36), Anchor(40, 28),
-    Anchor(36, 75), Anchor(76, 55), Anchor(72, 146),
-    Anchor(142, 110), Anchor(192, 243), Anchor(459, 401),
-)
 
 DEFAULT_CLASS_NAMES = (
     "bolt", "nut", "washer", "gear", "bearing", "bracket", "spring",
@@ -47,6 +42,8 @@ DEFAULT_CLASS_NAMES = (
 )
 
 SCENARIO_BY_NUMBER = dict(enumerate(metrics.SCENARIOS, start=1))
+
+_DETECT_DEFAULTS = postprocess.DetectConfig()  # RunConfig's threshold defaults
 
 
 # ---------------------------------------------------------------------------
@@ -82,24 +79,20 @@ class RunConfig:
     `encode`, `detect` and `bench`."""
 
     anchors: tuple = DEFAULT_ANCHORS
-    objectness_threshold: float = 0.25
-    iou_threshold: float = 0.45
-    confidence_floor: float = 0.5
-    per_class_nms: bool = False
+    objectness_threshold: float = _DETECT_DEFAULTS.nms.objectness_threshold
+    iou_threshold: float = _DETECT_DEFAULTS.nms.iou_threshold
+    confidence_floor: float = _DETECT_DEFAULTS.confidence_floor
+    per_class_nms: bool = _DETECT_DEFAULTS.nms.per_class
     seed: int = 0
 
     def __post_init__(self):
-        if len(self.anchors) != 9:
-            raise ValueError(f"need 9 anchors, got {len(self.anchors)}")
+        postprocess.nine_anchors(self.anchors)
         self.detect_config()  # NmsConfig and DetectConfig check the thresholds
 
     def detect_config(self) -> postprocess.DetectConfig:
-        return postprocess.DetectConfig(
-            nms=postprocess.NmsConfig(
-                objectness_threshold=self.objectness_threshold,
-                iou_threshold=self.iou_threshold,
-                per_class=self.per_class_nms),
-            confidence_floor=self.confidence_floor)
+        nms = postprocess.NmsConfig(self.objectness_threshold, self.iou_threshold,
+                                    per_class=self.per_class_nms)
+        return postprocess.DetectConfig(nms, self.confidence_floor)
 
 
 def _parse_anchors(value: str) -> tuple:
@@ -195,21 +188,23 @@ def _write_text(path: str, text: str) -> None:
 
 
 def _load_dataset_dir(directory: str):
-    """Read a dataset directory: classes.txt plus <stem>.ppm/<stem>.txt
-    pairs (a missing label file means an unlabeled image)."""
+    """A dataset directory's classes.txt and an iterator over its
+    <stem>.ppm/<stem>.txt pairs in name order, which reads one pair per
+    step (a missing label file means an unlabeled image)."""
     registry = _load(os.path.join(directory, "classes.txt"),
                      data.ClassRegistry.from_text)
-    samples = []
-    for name in sorted(os.listdir(directory)):
-        if not name.endswith(".ppm"):
-            continue
-        image = _load(os.path.join(directory, name), data.read_ppm)
-        stem = os.path.splitext(name)[0]
-        label_path = os.path.join(directory, stem + ".txt")
-        labels = (_load(label_path, data.read_yolo_labels, registry)
-                  if os.path.exists(label_path) else ())
-        samples.append(data.LabeledImage(image, labels, name))
-    return registry, samples
+    names = sorted(name for name in os.listdir(directory) if name.endswith(".ppm"))
+
+    def samples():
+        for name in names:
+            label_path = os.path.join(directory, os.path.splitext(name)[0] + ".txt")
+            # no local keeps an image alive while the next one is read
+            yield data.LabeledImage(
+                _load(os.path.join(directory, name), data.read_ppm),
+                (_load(label_path, data.read_yolo_labels, registry)
+                 if os.path.exists(label_path) else ()), name)
+
+    return registry, samples()
 
 
 def _write_dataset_dir(directory: str, registry, samples) -> list:
@@ -330,9 +325,10 @@ def cmd_encode(args) -> int:
     config = _load_config(args)
     registry, samples = _load_dataset_dir(args.dataset)
     os.makedirs(args.out, exist_ok=True)
-    # the images fix the input size, as the heads do for detect
-    input_n = samples[0].image.width if samples else 0
-    for sample in samples:
+    count = input_n = 0
+    for count, sample in enumerate(samples, start=1):
+        # the first image fixes the input size, as the heads do for detect
+        input_n = input_n or sample.image.width
         try:
             if sample.image.width != input_n or sample.image.height != input_n:
                 raise ValueError(f"image is {sample.image.width}x"
@@ -343,7 +339,7 @@ def cmd_encode(args) -> int:
             raise ValueError(f"{sample.source_path}: {exc}") from None
         for k, head in enumerate(heads):
             Path(args.out, f"{sample.stem}.h{k}").write_bytes(write_head_bytes(head))
-    print(f"encoded {len(samples)} images into head tensors at {args.out}")
+    print(f"encoded {count} images into head tensors at {args.out}")
     return 0
 
 
@@ -366,7 +362,9 @@ def cmd_detect(args) -> int:
 def cmd_eval(args) -> int:
     registry, truth = _load_dataset_dir(args.truth)
     samples = []
+    paired = set()
     for sample in truth:
+        paired.add(sample.stem + ".txt")
         gts = [metrics.GroundTruth(
             norm_to_corner(box, sample.image.width, sample.image.height), cid)
             for cid, box in sample.labels]
@@ -379,7 +377,6 @@ def cmd_eval(args) -> int:
     except ValueError:
         scenario = args.scenario
     report = metrics.scenario_report(samples, scenario, args.iou)
-    paired = {sample.stem + ".txt" for sample in truth}
     orphans = sorted(name for name in os.listdir(args.detections)
                      if name.endswith(".txt") and name not in paired)
     if orphans:
@@ -454,6 +451,18 @@ def cmd_bench(args) -> int:
 
 # ---------------------------------------------------------------------------
 
+def _int_at_least(minimum: int):
+    """An argparse type: an integer no smaller than `minimum`."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(
+                f"must be at least {minimum}, got {value}")
+        return value
+    parse.__name__ = "int"  # argparse names it in "invalid int value: ..."
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="yolokit",
@@ -523,15 +532,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth", help="generate a synthetic scenario dataset")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--scenario", type=int, required=True, choices=SCENARIO_BY_NUMBER)
-    p.add_argument("--count", type=int, required=True)
+    p.add_argument("--count", type=_int_at_least(0), required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--classes", default=None)
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("bench", help="measure post-processing latency")
-    p.add_argument("--frames", type=int, default=20)
+    p.add_argument("--frames", type=_int_at_least(1), default=20)
     p.add_argument("--input", type=int, default=416)
-    p.add_argument("--classes-count", type=int, default=13)
+    p.add_argument("--classes-count", type=_int_at_least(1), default=13)
     p.add_argument("--config", default=None)
     p.set_defaults(func=cmd_bench)
 
@@ -544,8 +553,6 @@ def main(argv=None) -> int:
     if args.command == "detect" and not args.dump_config:
         if not args.heads or not args.classes:
             parser.error("detect requires --heads and --classes")
-    if args.command == "bench" and args.frames < 1:
-        parser.error(f"bench --frames must be at least 1, got {args.frames}")
     try:
         return args.func(args)
     except OSError as exc:

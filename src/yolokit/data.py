@@ -174,13 +174,13 @@ def read_ppm(data: bytes) -> Image:
     if maxval != 255:
         raise ValueError(f"unsupported maxval {maxval} (need 255)")
     pos += 1  # single whitespace byte after maxval
-    payload = data[pos:pos + width * height * 3]
-    if len(payload) != width * height * 3:
+    size = width * height * 3
+    if n - pos < size:
         raise ValueError(
-            f"truncated payload: need {width * height * 3} bytes, "
-            f"have {len(payload)}")
-    arr = np.frombuffer(payload, dtype=np.uint8).reshape(height, width, 3)
-    return Image(arr.copy())
+            f"truncated payload: need {size} bytes, have {max(n - pos, 0)}")
+    # one copy, straight out of `data`
+    arr = np.frombuffer(data, dtype=np.uint8, count=size, offset=pos)
+    return Image(arr.reshape(height, width, 3).copy())
 
 
 def write_ppm(image: Image) -> bytes:
@@ -247,7 +247,8 @@ def read_labelimg_corners(text: str, image_dims: tuple[int, int],
 
     `image_dims` is (width, height). Corners may exceed the image by at
     most one pixel (they are clamped); beyond that is an error, as are
-    inverted corners and unknown class names.
+    inverted corners, a box of zero width or height after clamping and
+    unknown class names.
     """
     img_w, img_h = image_dims
 
@@ -263,11 +264,14 @@ def read_labelimg_corners(text: str, image_dims: tuple[int, int],
                 or y_max > img_h + 1.0):
             raise ValueError(f"corners outside {img_w}x{img_h} image "
                              f"beyond 1 px tolerance")
-        return class_id, BoxCorner(
-            min(max(x_min, 0.0), float(img_w)),
-            min(max(y_min, 0.0), float(img_h)),
-            min(max(x_max, 0.0), float(img_w)),
-            min(max(y_max, 0.0), float(img_h)))
+        box = BoxCorner(min(max(x_min, 0.0), float(img_w)),
+                        min(max(y_min, 0.0), float(img_h)),
+                        min(max(x_max, 0.0), float(img_w)),
+                        min(max(y_max, 0.0), float(img_h)))
+        if not (box.width > 0 and box.height > 0):
+            raise ValueError(f"box ({x_min}, {y_min}, {x_max}, {y_max}) has zero "
+                             f"width or height in the {img_w}x{img_h} image")
+        return class_id, box
 
     return read_records(text, 5, corner)
 
@@ -288,7 +292,8 @@ CSV_HEADER = ("filename", "width", "height", "class",
 
 @dataclass(frozen=True)
 class CsvRow:
-    """One bounding box of one image, pixel corners."""
+    """One bounding box of one image, pixel corners. The image is at least
+    1x1 and the corners are not inverted."""
 
     filename: str
     width: int
@@ -299,17 +304,23 @@ class CsvRow:
     x_max: float
     y_max: float
 
+    def __post_init__(self):
+        if self.width < 1 or self.height < 1:
+            raise ValueError(f"image size {self.width}x{self.height} is below 1x1")
+        BoxCorner(self.x_min, self.y_min, self.x_max, self.y_max)
 
-def dataset_to_rows(dataset: Sequence[LabeledImage], registry) -> list[CsvRow]:
-    rows: list[CsvRow] = []
-    for sample in dataset:
+
+def dataset_to_rows(dataset: Iterable[LabeledImage], registry) -> list[CsvRow]:
+    def image_rows(sample):
         filename = os.path.basename(sample.source_path)
         w, h = sample.image.width, sample.image.height
-        for class_id, box in sample.labels:
-            corner = norm_to_corner(box, w, h)
-            rows.append(CsvRow(filename, w, h, registry[class_id],
-                               corner.x_min, corner.y_min,
-                               corner.x_max, corner.y_max))
+        corners = [(cid, norm_to_corner(box, w, h)) for cid, box in sample.labels]
+        return [CsvRow(filename, w, h, registry[cid],
+                       c.x_min, c.y_min, c.x_max, c.y_max) for cid, c in corners]
+
+    # map lets go of each sample before it takes the next, so a lazy
+    # dataset is read one image at a time
+    rows = [row for per_image in map(image_rows, dataset) for row in per_image]
     rows.sort(key=lambda r: r.filename)  # stable: keeps label order per file
     return rows
 
@@ -364,7 +375,7 @@ def parse_csv(text: str) -> list[CsvRow]:
     return rows
 
 
-def aggregate_csv(dataset: Sequence[LabeledImage], registry) -> str:
+def aggregate_csv(dataset: Iterable[LabeledImage], registry) -> str:
     """All boxes of a dataset as CSV text."""
     return format_csv(dataset_to_rows(dataset, registry))
 
@@ -402,6 +413,17 @@ def _rotate_quarter_labels(labels, quarter: int):
     return tuple(out)
 
 
+def _angle_tag(angle: float) -> str:
+    return f"{angle:g}"
+
+
+def _finite_degrees(degrees) -> float:
+    degrees = float(degrees)
+    if not math.isfinite(degrees):
+        raise ValueError(f"rotation {_angle_tag(degrees)} is not a finite angle")
+    return degrees
+
+
 def rotate(sample: LabeledImage, degrees: float,
            min_visible: float = 0.2) -> LabeledImage:
     """Rotate clockwise about the image center onto a same-size canvas
@@ -412,9 +434,10 @@ def rotate(sample: LabeledImage, degrees: float,
     neighbor (off-canvas source pixels become black) and replaces each
     label with the axis-aligned enclosing box of its rotated corners,
     clipped to the canvas; a label whose clipped box area falls below
-    `min_visible` of its original box area is dropped.
+    `min_visible` of its original box area is dropped. A non-finite angle
+    raises ValueError.
     """
-    deg = float(degrees) % 360.0
+    deg = _finite_degrees(degrees) % 360.0
     img = sample.image
     h, w = img.height, img.width
     if deg == 0.0:
@@ -462,20 +485,24 @@ def rotate(sample: LabeledImage, degrees: float,
     return LabeledImage(Image(pixels), tuple(labels), sample.source_path)
 
 
-def _angle_tag(angle: float) -> str:
-    return f"{angle:g}"
-
-
 def iter_expanded(samples: Iterable[LabeledImage], rotations: Sequence[float],
                   flips: Sequence[str]) -> Iterator[LabeledImage]:
     """Lazily yield every (rotation x flip-state) variant of every sample.
 
     Flip states are identity plus each requested axis; an empty rotation
     list behaves as a single 0-degree rotation (flips-only expansion).
-    Variant names follow `<stem>_r<deg>_f<axis>`.
+    Variant names follow `<stem>_r<deg>_f<axis>`. A non-finite angle, an
+    angle equal to an earlier one or a repeated axis raises ValueError
+    before the first variant.
     """
-    angles = list(rotations) or [0.0]
-    flip_states: list[str | None] = [None] + list(flips)
+    angles = [_finite_degrees(angle) for angle in rotations] or [0.0]
+    flips = list(flips)
+    for kind, values, show in (("rotation", angles, _angle_tag),
+                               ("flip axis", flips, repr)):
+        for i, value in enumerate(values):
+            if value in values[:i]:
+                raise ValueError(f"repeated {kind} {show(value)}")
+    flip_states: list[str | None] = [None] + flips
     for sample in samples:
         ext = os.path.splitext(sample.source_path)[1] or ".ppm"
         for angle in angles:

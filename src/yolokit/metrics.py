@@ -23,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from .boxes import BoxCorner, iou
-from .postprocess import Detection
+from .postprocess import Detection, check_unit_interval
 
 IOU_THRESHOLDS = tuple(round(0.5 + 0.05 * k, 2) for k in range(10))
 SCENARIOS = ("single-class", "multi-class-group", "all-classes")
@@ -197,8 +197,7 @@ def scenario_report(samples, scenario: str,
     """
     if scenario not in SCENARIOS:
         raise ValueError(f"unknown scenario {scenario!r}, need one of {SCENARIOS}")
-    if not 0.0 <= error_iou_threshold <= 1.0:
-        raise ValueError(f"error_iou_threshold {error_iou_threshold} outside [0, 1]")
+    check_unit_interval("error_iou_threshold", error_iou_threshold)
     ap, last = _evaluate(samples, IOU_THRESHOLDS + (error_iou_threshold,))
     base = _map_report(ap)
     failed = sum(not all(taken) or any(j is None for j, _ in matched)

@@ -32,11 +32,32 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boxes import (BoxCorner, RawPrediction, decode_corners,
+from .boxes import (Anchor, BoxCorner, RawPrediction, decode_corners,
                     iou_one_to_many, responsible_cell, sigmoid)
 from .cfg import grid_sizes, head_channels
 from .data import ClassRegistry, read_records
 from .tensor import ShapeError, Tensor
+
+# YOLOv4's nine priors in input pixels, three per scale, fine to coarse
+DEFAULT_ANCHORS = (
+    Anchor(12, 16), Anchor(19, 36), Anchor(40, 28),
+    Anchor(36, 75), Anchor(76, 55), Anchor(72, 146),
+    Anchor(142, 110), Anchor(192, 243), Anchor(459, 401),
+)
+
+
+def nine_anchors(anchors) -> tuple:
+    """`anchors` as a tuple, which must hold nine priors (three per scale)."""
+    anchors = tuple(anchors)
+    if len(anchors) != 9:
+        raise ShapeError(f"need 9 anchors, got {len(anchors)}")
+    return anchors
+
+
+def check_unit_interval(name: str, value: float) -> None:
+    """Raise ValueError naming `name` unless `value` lies in [0, 1] (NaN fails)."""
+    if not 0.0 <= value <= 1.0:
+        raise ValueError(f"{name} {value} outside [0, 1]")
 
 
 @dataclass(frozen=True, slots=True)
@@ -72,10 +93,8 @@ class NmsConfig:
     use_raw_objectness: bool = False
 
     def __post_init__(self):
-        if not (0.0 <= self.objectness_threshold <= 1.0):
-            raise ValueError(f"objectness_threshold {self.objectness_threshold} outside [0, 1]")
-        if not (0.0 <= self.iou_threshold <= 1.0):
-            raise ValueError(f"iou_threshold {self.iou_threshold} outside [0, 1]")
+        check_unit_interval("objectness_threshold", self.objectness_threshold)
+        check_unit_interval("iou_threshold", self.iou_threshold)
 
 
 @dataclass(frozen=True, slots=True)
@@ -86,8 +105,7 @@ class DetectConfig:
     confidence_floor: float = 0.5
 
     def __post_init__(self):
-        if not (0.0 <= self.confidence_floor <= 1.0):
-            raise ValueError(f"confidence_floor {self.confidence_floor} outside [0, 1]")
+        check_unit_interval("confidence_floor", self.confidence_floor)
 
 
 def _head_fields(head: np.ndarray, num_classes: int):
@@ -273,8 +291,7 @@ def nms(detections: list[Detection], config: NmsConfig) -> list[Detection]:
 def two_stage_filter(detections: list[Detection],
                      confidence_floor: float) -> list[Detection]:
     """Keep detections with confidence >= confidence_floor, order preserved."""
-    if not (0.0 <= confidence_floor <= 1.0):
-        raise ValueError(f"confidence_floor {confidence_floor} outside [0, 1]")
+    check_unit_interval("confidence_floor", confidence_floor)
     return [d for d in detections if d.confidence >= confidence_floor]
 
 
@@ -297,11 +314,9 @@ def detect_frame(heads, anchors, config: DetectConfig,
     in a gated slot's row, raises ValueError.
     """
     heads = tuple(heads)
-    anchors = tuple(anchors)
     if len(heads) != 3:
         raise ShapeError(f"need 3 head tensors, got {len(heads)}")
-    if len(anchors) != 9:
-        raise ShapeError(f"need 9 anchors, got {len(anchors)}")
+    anchors = nine_anchors(anchors)
     num_classes = len(class_names)
     # the coarsest grid has stride 32, so it fixes the input size
     input_n = heads[2].height * 32
@@ -351,9 +366,7 @@ def ground_truth_heads(labels, num_classes: int, input_n: int,
     scale; on a collision the next-best free slot is used. Background
     cells carry objectness and class logits of -12.
     """
-    anchors = tuple(anchors)
-    if len(anchors) != 9:
-        raise ShapeError(f"need 9 anchors, got {len(anchors)}")
+    anchors = nine_anchors(anchors)
     grids = grid_sizes(input_n)
     arrays = [np.zeros((g, g, head_channels(num_classes))) for g in grids]
     slots = [_head_fields(arr, num_classes)[1] for arr in arrays]

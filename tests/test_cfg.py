@@ -223,6 +223,9 @@ def test_census_parameter_formula():
     assert normed.total_parameters == 32 * 3 * 3 * 3 + 32 + 3 * 32
     assert plain.total_parameters == conv_params_ref(32, 3, 3, False)
     assert normed.total_parameters == conv_params_ref(32, 3, 3, True)
+    # darknet turns batch norm on for any non-zero value
+    two = census(parse_cfg(NET_416 + "[convolutional]\nbatch_normalize=2\nfilters=4\n"))
+    assert two.total_parameters == 4 * 3 + 4 + 3 * 4 == 28
     # a batch_normalize that is not an integer is an error, not "off"
     with pytest.raises(CfgError, match=r"^line 5: .*'batch_normalize' must be an integer"):
         census(parse_cfg(NET_416 + "[convolutional]\nbatch_normalize=abc\nfilters=4\n"))

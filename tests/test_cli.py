@@ -1,6 +1,7 @@
 """End-to-end command-line flows driven through main(argv)."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -269,6 +270,21 @@ def test_labels_convert_both_directions(tmp_path, capsys):
     assert "converted 1 label files" in capsys.readouterr().out
 
 
+def test_labels_csv_holds_one_image_at_a_time(tmp_path, capsys):
+    ds = tmp_path / "ds"
+    assert cli.main(["synth", "--scenario", "3", "--count", "6", "--out", str(ds)]) == 0
+    capsys.readouterr()
+    image_bytes = 608 * 608 * 3
+    tracemalloc.start()
+    try:
+        assert cli.main(["labels", "csv", "--dir", str(ds)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(capsys.readouterr().out.splitlines()) == 1 + 6 * 13
+    assert peak < 3 * image_bytes, peak / image_bytes
+
+
 def test_labels_csv(tmp_path, capsys):
     ds = tiny_dataset(tmp_path / "ds")
     assert cli.main(["labels", "csv", "--dir", str(ds)]) == 0
@@ -307,6 +323,24 @@ def test_augment_writes_all_variants(tmp_path, capsys):
         back = data.read_yolo_labels(label.read_text(),
                                      data.ClassRegistry(["bolt"]))
         assert len(back) == 1
+
+
+def test_augment_rejects_a_non_finite_or_repeated_variant(tmp_path, capsys):
+    ds = tiny_dataset(tmp_path / "ds")
+    (ds / "bare.ppm").write_bytes(data.write_ppm(data.Image.new(64, 64)))  # no labels
+    for k, (rotations, flips, message) in enumerate((
+            ("nan", "", "rotation nan is not a finite angle"),
+            ("1e400", "", "rotation inf is not a finite angle"),
+            ("90,-inf", "", "rotation -inf is not a finite angle"),
+            ("0,360,0", "h,horizontal", "repeated rotation 0"),
+            ("0,90", "v,h,vertical", "repeated flip axis 'vertical'"))):
+        out = tmp_path / f"aug{k}"
+        rc = cli.main(["augment", str(ds), "--rotations", rotations,
+                       "--flips", flips, "--out", str(out), "--floor", "1"])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"yolokit: {message}\n" and captured.out == ""
+        assert not list(out.glob("*.ppm"))
 
 
 def test_augment_reports_floor_breach(tmp_path, capsys):
@@ -349,9 +383,10 @@ def test_exit_code_two_on_parse_error(tmp_path, capsys):
     assert cli.main(["netinfo", str(bad)]) == 2
     assert capsys.readouterr().err.startswith(
         f"yolokit: {bad}: line 4: [route] reference -5 resolves to layer -5")
-    # a labelImg class missing from classes.txt, and a box YOLO cannot hold
+    # a labelImg class missing from classes.txt, and a box of zero width
     for line, message in (("cog 1 1 20 20", "line 2: unknown class 'cog'"),
-                          ("gear 3 3 3 9", "size (0.0, 0.09375) outside (0, 1]")):
+                          ("gear 3 3 3 9", "line 2: box (3.0, 3.0, 3.0, 9.0) has zero "
+                                           "width or height in the 64x64 image")):
         src = tiny_dataset(tmp_path / "src", label=f"gear 1 1 20 20\n{line}\n")
         rc = cli.main(["labels", "convert", "--from", "labelimg", "--to", "yolo",
                        "--dir", str(src), "--classes", str(src / "classes.txt"),
@@ -407,11 +442,17 @@ def test_usage_errors_exit_two(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["no-such-command"])
     assert exc.value.code == 2
-    for frames in ("0", "-1"):
+    synth = ["synth", "--scenario", "1", "--out", str(tmp_path / "s"), "--count"]
+    for argv, message in ((["bench", "--frames", "0"], "at least 1, got 0"),
+                          (["bench", "--frames", "-1"], "at least 1, got -1"),
+                          (["bench", "--classes-count", "0"], "at least 1, got 0"),
+                          (synth + ["-2"], "--count: must be at least 0, got -2"),
+                          (synth + ["x"], "--count: invalid int value: 'x'")):
         with pytest.raises(SystemExit) as exc:
-            cli.main(["bench", "--frames", frames])
+            cli.main(argv)
         assert exc.value.code == 2
-    capsys.readouterr()
+        assert message in capsys.readouterr().err
+    assert not (tmp_path / "s").exists()
     ds = tiny_dataset(tmp_path / "truth")
     for value in ("nan", "1.5", "-1"):
         rc = cli.main(["eval", "--detections", str(tmp_path / "dets"),

@@ -175,7 +175,10 @@ def test_labelimg_errors(registry13):
         read_labelimg_corners("gear a 0 50 50\n", (100, 100), registry13)
     for line, message in (("gear nan 0 50 50", "line 2: "),
                           ("gear 0 0 50 nan", "line 2: "),
-                          ("cog 0 0 50 50", "line 2: unknown class 'cog'")):
+                          ("cog 0 0 50 50", "line 2: unknown class 'cog'"),
+                          ("gear 3 3 3 9", r"line 2: box \(3\.0, 3\.0, 3\.0, 9\.0\) "),
+                          # zero height once clamped to the image
+                          ("gear 0 100.2 50 100.7", "line 2: box .* zero width or height")):
         with pytest.raises(ValueError, match=message):
             read_labelimg_corners(f"gear 0 0 50 50\n{line}\n", (100, 100), registry13)
 
@@ -235,7 +238,11 @@ def test_csv_parse_errors():
             ("a.ppm,64,64,bolt,1,2,x,4\n", "line 2: x_max 'x' is not a finite number"),
             ("a.ppm,64,64,bolt,nan,1,2,3\n", "line 2: x_min 'nan' is not a finite number"),
             ("a.ppm,64,64,bolt,1,2,3,inf\n", "line 2: y_max 'inf' is not a finite number"),
-            (good + "a\rb,1\n", "line 3: malformed CSV: ")):
+            (good + "a\rb,1\n", "line 3: malformed CSV: "),
+            ("a.ppm,-5,64,bolt,9,1,2,3\n", "line 2: image size -5x64 is below 1x1"),
+            (good + "a.ppm,64,0,bolt,1,2,3,4\n", "line 3: image size 64x0 is below 1x1"),
+            ("a.ppm,64,64,bolt,9,1,2,3\n", "line 2: inverted corners: (9.0, 1.0, 2"),
+            ("a.ppm,64,64,bolt,1,4,2,3\n", "line 2: inverted corners: (1.0, 4.0, 2")):
         with pytest.raises(ValueError, match="^" + re.escape(message)):
             parse_csv(header + body)
 
@@ -383,6 +390,27 @@ def test_iter_expanded_counts_and_names():
     assert "base_r30_fh.ppm" in names
     assert "base_r330_fv.ppm" in names
     assert len(set(names)) == 36
+
+
+def test_rotate_rejects_a_non_finite_angle():
+    sample = make_sample([(0, BoxNorm(0.5, 0.5, 0.25, 0.25))])
+    for angle in (math.nan, math.inf, -math.inf, float("1e400")):
+        with pytest.raises(ValueError, match=f"^rotation {angle:g} is not a finite"):
+            rotate(sample, angle)
+
+
+def test_iter_expanded_rejects_bad_variants_before_the_first():
+    sample = make_sample([(0, BoxNorm(0.5, 0.5, 0.25, 0.25))], name="b.ppm")
+    for rotations, flips, message in (
+            ([0.0, 360.0, 0.0], [], "repeated rotation 0"),
+            ([90, 90.0], [], "repeated rotation 90"),
+            ([0.0, -0.0], [], "repeated rotation -0"),
+            ([0.0, 90.0], ["horizontal", "vertical", "horizontal"],
+             "repeated flip axis 'horizontal'"),
+            ([0.0, math.nan], [], "rotation nan is not a finite angle")):
+        variants = iter_expanded([sample], rotations, flips)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            next(variants)
 
 
 def test_iter_expanded_empty_rotations_means_flips_only():

@@ -425,6 +425,85 @@ def test_import_keeps_freed_frame_arrays_in_the_heap():
     assert second * 4 < first
 
 
+PUBLIC_NAMES = [
+    "Anchor", "BoxCorner", "BoxNorm", "RawPrediction", "corner_to_norm",
+    "decode_box", "decode_center", "iou", "norm_to_corner", "responsible_cell",
+    "sigmoid",
+    "CfgError", "NetCensus", "NetGraph", "census", "grid_sizes",
+    "head_channels", "parse_cfg", "propagate_shapes", "serialize_cfg",
+    "total_grid_cells",
+    "ClassRegistry", "Image", "LabeledImage", "aggregate_csv",
+    "expand_dataset", "flip", "generate_synthetic_scene", "read_ppm",
+    "read_yolo_labels", "rotate", "write_ppm", "write_yolo_labels",
+    "EvalReport", "GroundTruth", "average_precision", "map_50_95",
+    "match_detections", "scenario_report",
+    "Detection", "DetectConfig", "NmsConfig", "detect_frame",
+    "extract_predictions", "ground_truth_heads", "nms", "score_predictions",
+    "two_stage_filter",
+    "ConvParams", "ShapeError", "Tensor", "concat_channels", "conv2d",
+    "csp_block", "leaky_relu", "max_pool", "mish", "residual_block",
+    "spp_block", "upsample2x",
+    "__version__",
+]
+
+# Fresh interpreter: which submodules `import yolokit` loads, `__all__`,
+# and the module each public name and submodule resolves to.
+PACKAGE_PROBE = """
+import importlib, json, sys
+import yolokit
+loaded = sorted(m for m in sys.modules if m.startswith("yolokit."))
+defined = [name for name in yolokit.__all__[:-1] if getattr(yolokit, name) is getattr(
+    importlib.import_module(getattr(yolokit, name).__module__), name)]
+modules = [m for m in ("tensor", "cfg", "boxes", "postprocess", "data", "metrics")
+           if getattr(yolokit, m) is importlib.import_module("yolokit." + m)]
+print(json.dumps([loaded, yolokit.__all__, defined, modules,
+                  sorted((set(yolokit.__all__) | set(modules)) - set(dir(yolokit)))]))
+"""
+
+
+def test_package_names_resolve_lazily_to_their_modules():
+    src = os.path.dirname(os.path.dirname(postprocess.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", PACKAGE_PROBE], env=env,
+                         stdout=subprocess.PIPE, check=True, timeout=60)
+    loaded, public, defined, modules, unlisted = json.loads(out.stdout)
+    assert loaded == []
+    assert public == PUBLIC_NAMES
+    assert defined == PUBLIC_NAMES[:-1]
+    assert len(modules) == 6
+    assert unlisted == []
+    import yolokit
+    assert yolokit.__version__ == "0.1.0"
+    with pytest.raises(AttributeError, match="no attribute 'nope'"):
+        yolokit.nope
+
+
+def test_detector_rules_have_one_owner_and_keep_their_messages():
+    from yolokit import cli, metrics
+    assert cli.DEFAULT_ANCHORS is postprocess.DEFAULT_ANCHORS
+    config, defaults = cli.RunConfig(), DetectConfig()
+    assert config.detect_config() == defaults
+    for make, message in (
+            (lambda: NmsConfig(objectness_threshold=1.5),
+             "objectness_threshold 1.5 outside [0, 1]"),
+            (lambda: NmsConfig(iou_threshold=-0.1), "iou_threshold -0.1 outside [0, 1]"),
+            (lambda: DetectConfig(confidence_floor=float("nan")),
+             "confidence_floor nan outside [0, 1]"),
+            (lambda: two_stage_filter([], 2.0), "confidence_floor 2.0 outside [0, 1]"),
+            (lambda: metrics.scenario_report([], "all-classes", 1.5),
+             "error_iou_threshold 1.5 outside [0, 1]"),
+            (lambda: cli.RunConfig(anchors=NINE_ANCHORS[:8]), "need 9 anchors, got 8"),
+            (lambda: detect_frame(ground_truth_heads([], 2, 64, NINE_ANCHORS),
+                                  NINE_ANCHORS * 2, defaults, ["a", "b"]),
+             "need 9 anchors, got 18"),
+            (lambda: ground_truth_heads([], 2, 64, NINE_ANCHORS[:3]),
+             "need 9 anchors, got 3")):
+        with pytest.raises(ValueError) as exc:
+            make()
+        assert str(exc.value) == message
+
+
 # ---------------------------------------------------------------------------
 # ground-truth head encoding
 
