@@ -386,17 +386,21 @@ def aggregate_csv(dataset: Iterable[LabeledImage], registry) -> str:
 def flip(sample: LabeledImage, axis: str) -> LabeledImage:
     """Mirror pixels and labels. 'horizontal' mirrors x (cx -> 1-cx),
     'vertical' mirrors y (cy -> 1-cy). An involution on both."""
-    if axis == "horizontal":
+    if _flip_axis(axis) == "horizontal":
         pixels = sample.image.pixels[:, ::-1]
         labels = tuple((cid, BoxNorm(1.0 - b.cx, b.cy, b.w, b.h))
                        for cid, b in sample.labels)
-    elif axis == "vertical":
+    else:
         pixels = sample.image.pixels[::-1, :]
         labels = tuple((cid, BoxNorm(b.cx, 1.0 - b.cy, b.w, b.h))
                        for cid, b in sample.labels)
-    else:
-        raise ValueError(f"axis must be 'horizontal' or 'vertical', got {axis!r}")
     return LabeledImage(Image(pixels.copy()), labels, sample.source_path)
+
+
+def _flip_axis(axis: str) -> str:
+    if axis not in ("horizontal", "vertical"):
+        raise ValueError(f"axis must be 'horizontal' or 'vertical', got {axis!r}")
+    return axis
 
 
 def _rotate_quarter_labels(labels, quarter: int):
@@ -492,15 +496,16 @@ def iter_expanded(samples: Iterable[LabeledImage], rotations: Sequence[float],
     Flip states are identity plus each requested axis; an empty rotation
     list behaves as a single 0-degree rotation (flips-only expansion).
     Variant names follow `<stem>_r<deg>_f<axis>`. A non-finite angle, an
-    angle equal to an earlier one or a repeated axis raises ValueError
-    before the first variant.
+    angle equal to an earlier one or named like it in `<deg>` (90 and
+    90.0000001 are both `r90`), an unknown axis or a repeated axis raises
+    ValueError before the first variant.
     """
     angles = [_finite_degrees(angle) for angle in rotations] or [0.0]
-    flips = list(flips)
+    flips = [_flip_axis(axis) for axis in flips]
     for kind, values, show in (("rotation", angles, _angle_tag),
                                ("flip axis", flips, repr)):
         for i, value in enumerate(values):
-            if value in values[:i]:
+            if any(value == v or show(value) == show(v) for v in values[:i]):
                 raise ValueError(f"repeated {kind} {show(value)}")
     flip_states: list[str | None] = [None] + flips
     for sample in samples:

@@ -17,7 +17,10 @@ threshold. The gate is exact: class scores are at most 1, so a slot's
 confidence never exceeds its objectness and no gated-out slot could pass
 either drop key. NMS computes IoU a block of candidates at a time and
 walks each block greedily, so it makes the same keep/suppress decisions
-as popping one candidate at a time.
+as popping one candidate at a time. `detect_frame` applies the confidence
+floor before suppression, not after it, which is exact too: NMS pops in
+descending confidence, so a candidate below the floor pops after every
+one at or above it and can suppress none of them.
 
 Both paths reject a NaN objectness logit, and a NaN in any row they
 score, with one ValueError that names the scale, cell, slot and channel.
@@ -232,9 +235,10 @@ _NMS_BLOCK_ELEMENTS = 1 << 15
 
 def _nms_engine(confidence: np.ndarray, corners: np.ndarray,
                 class_id: np.ndarray, objectness: np.ndarray,
-                config: NmsConfig) -> list[int]:
+                config: NmsConfig, floor: float = 0.0) -> list[int]:
     """Greedy suppression over parallel arrays; returns kept indices in
-    pop order (descending confidence, ties to the lower original index).
+    pop order (descending confidence, ties to the lower original index)
+    among the candidates that pass the drop key and reach `floor`.
 
     Works on blocks of consecutive pending candidates in pop order: one
     broadcast gives each block row's IoU with every pending candidate,
@@ -243,7 +247,8 @@ def _nms_engine(confidence: np.ndarray, corners: np.ndarray,
     is the one the one-pop-at-a-time loop makes.
     """
     drop_key = objectness if config.use_raw_objectness else confidence
-    candidates = np.flatnonzero(drop_key >= config.objectness_threshold)
+    candidates = np.flatnonzero((drop_key >= config.objectness_threshold)
+                                & (confidence >= floor))
     # stable sort on negated confidence = pop-max with lowest-index ties
     order = candidates[np.argsort(-confidence[candidates], kind="stable")]
     x_min, y_min, x_max, y_max = (corners[order, k] for k in range(4))
@@ -310,8 +315,12 @@ def detect_frame(heads, anchors, config: DetectConfig,
     so confidence = objectness * class_score <= objectness in IEEE
     arithmetic, and a slot below the gate could never pass the drop
     threshold. The gated slots keep their original order, so NMS breaks
-    confidence ties as the full pipeline does. A NaN objectness, or a NaN
-    in a gated slot's row, raises ValueError.
+    confidence ties as the full pipeline does. Only gated slots that reach
+    `config.confidence_floor` enter NMS, and every slot it keeps is
+    output; a slot below the floor pops after every slot at or above it,
+    so it could suppress none of them and the kept set and order above
+    the floor are unchanged. A NaN objectness, or a NaN in a gated slot's
+    row, raises ValueError.
     """
     heads = tuple(heads)
     if len(heads) != 3:
@@ -345,10 +354,10 @@ def detect_frame(heads, anchors, config: DetectConfig,
     objectness = objectness[live]
     class_id, class_score, confidence, corners = _score_arrays(
         objectness, fields, rows, cols, strides, p_w, p_h, input_n)
-    keep = _nms_engine(confidence, corners, class_id, objectness, config.nms)
+    keep = _nms_engine(confidence, corners, class_id, objectness, config.nms,
+                       config.confidence_floor)
     return [_detection(i, class_names, class_id, objectness, class_score,
-                       confidence, corners)
-            for i in keep if confidence[i] >= config.confidence_floor]
+                       confidence, corners) for i in keep]
 
 
 # logit magnitude for hard 0/1 targets: sigmoid(12) differs from 1 by 6e-6,

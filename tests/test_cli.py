@@ -333,6 +333,7 @@ def test_augment_rejects_a_non_finite_or_repeated_variant(tmp_path, capsys):
             ("1e400", "", "rotation inf is not a finite angle"),
             ("90,-inf", "", "rotation -inf is not a finite angle"),
             ("0,360,0", "h,horizontal", "repeated rotation 0"),
+            ("90,90.0000001", "", "repeated rotation 90"),
             ("0,90", "v,h,vertical", "repeated flip axis 'vertical'"))):
         out = tmp_path / f"aug{k}"
         rc = cli.main(["augment", str(ds), "--rotations", rotations,

@@ -405,6 +405,10 @@ def test_iter_expanded_rejects_bad_variants_before_the_first():
             ([0.0, 360.0, 0.0], [], "repeated rotation 0"),
             ([90, 90.0], [], "repeated rotation 90"),
             ([0.0, -0.0], [], "repeated rotation -0"),
+            # distinct angles that would share the file name `b_r90_fnone`
+            ([90.0, 90.0000001], [], "repeated rotation 90"),
+            ([0.0], ["horizontal", "diagonal"],
+             "axis must be 'horizontal' or 'vertical', got 'diagonal'"),
             ([0.0, 90.0], ["horizontal", "vertical", "horizontal"],
              "repeated flip axis 'horizontal'"),
             ([0.0, math.nan], [], "rotation nan is not a finite angle")):

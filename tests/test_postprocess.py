@@ -13,7 +13,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from yolokit import postprocess
-from yolokit.boxes import Anchor, BoxCorner, BoxNorm, iou, norm_to_corner
+from yolokit.boxes import (Anchor, BoxCorner, BoxNorm, iou, iou_one_to_many,
+                           norm_to_corner)
 from yolokit.postprocess import (Detection, DetectConfig, NmsConfig,
                                  detect_frame, detections_to_json,
                                  extract_predictions, format_detection_line,
@@ -298,9 +299,72 @@ def test_detect_frame_equals_staged_pipeline(gated_frame, threshold,
                               config.confidence_floor)
     assert fast == staged
     if threshold < 1.0:
-        # more candidates than fit in one NMS block
-        gated = sum(d.confidence >= threshold for d in scored)
-        assert gated ** 2 > postprocess._NMS_BLOCK_ELEMENTS
+        # more candidates than fit in one NMS block: those that pass the
+        # drop key and reach the floor
+        suppressed = sum(
+            (d.objectness if raw_objectness else d.confidence) >= threshold
+            and d.confidence >= floor for d in scored)
+        assert suppressed ** 2 > postprocess._NMS_BLOCK_ELEMENTS
+
+
+def test_detect_frame_computes_iou_only_above_the_floor(gated_frame,
+                                                        monkeypatch):
+    heads, scored = gated_frame
+    config = DetectConfig(confidence_floor=0.5)
+    calls = []
+
+    def recording_iou(box, x_min, y_min, x_max, y_max):
+        calls.append((np.column_stack([np.ravel(v) for v in box]).tolist(),
+                      np.column_stack([x_min, y_min, x_max, y_max]).tolist()))
+        return iou_one_to_many(box, x_min, y_min, x_max, y_max)
+
+    monkeypatch.setattr(postprocess, "iou_one_to_many", recording_iou)
+    detect_frame(heads, NINE_ANCHORS, config, ["a", "b", "c", "d"])
+    above = sorted((d for d in scored if d.confidence >= 0.5),
+                   key=lambda d: -d.confidence)
+    boxes = [[d.box.x_min, d.box.y_min, d.box.x_max, d.box.y_max]
+             for d in above]
+    assert 0 < len(above) < sum(d.confidence >= 0.25 for d in scored)
+    # the first block's columns are every pending candidate in pop order
+    assert calls[0][1] == boxes
+    allowed = set(map(tuple, boxes))
+    for rows, columns in calls:
+        assert set(map(tuple, rows + columns)) <= allowed
+
+
+@pytest.mark.parametrize("iou_threshold,per_class,kept",
+                         [(0.3, False, 1), (0.45, False, 1),
+                          (0.7, False, 2), (0.3, True, 2)])
+def test_detect_frame_keeps_a_slot_exactly_at_the_floor(iou_threshold,
+                                                        per_class, kept):
+    """Box B's confidence is exactly the floor, 0.5 = sigmoid(40) *
+    sigmoid(0); it overlaps a higher box A (IoU 0.6) and a lower box C
+    (IoU 0.6) that passes the drop key but not the floor."""
+    heads = [np.full((g, g, 3 * 8), -12.0) for g in (8, 4, 2)]
+    # slots 0-2 of cell (2, 3) on the stride-8 scale, all centered at
+    # (28, 20): A is 24x24 of class 0, B 24x14.4 and C 24x8.64 of class 1,
+    # so IoU(A, B) = IoU(B, C) = 0.6 and IoU(A, C) = 0.36
+    for slot, (p_w, p_h), height, logits in (
+            (0, (12, 16), 24.0, (40.0, 40.0, -12.0)),
+            (1, (19, 36), 14.4, (40.0, -12.0, 0.0)),
+            (2, (40, 28), 8.64, (40.0, -12.0, -1.0))):
+        heads[0][2, 3, slot * 8:slot * 8 + 7] = (
+            0.0, 0.0, np.log(24.0 / p_w), np.log(height / p_h), *logits)
+    heads = [Tensor(arr) for arr in heads]
+    config = DetectConfig(nms=NmsConfig(iou_threshold=iou_threshold,
+                                        per_class=per_class),
+                          confidence_floor=0.5)
+    names = ["a", "b", "c"]
+    raws = []
+    for scale, head in enumerate(heads):
+        raws.extend(extract_predictions(
+            head, NINE_ANCHORS[scale * 3:scale * 3 + 3], 3, 64, scale))
+    scored = score_predictions(raws, names)
+    assert sorted(d.confidence for d in scored if d.confidence >= 0.25)[:2] \
+        == [sigmoid_ref(-1.0), 0.5]
+    fast = detect_frame(heads, NINE_ANCHORS, config, names)
+    assert fast == two_stage_filter(nms(scored, config.nms), 0.5)
+    assert [d.confidence for d in fast] == [1.0, 0.5][:kept]
 
 
 def test_detect_frame_hot_cell_yields_single_detection():
