@@ -48,7 +48,7 @@ _EXPORTS = {
              " decode_center iou norm_to_corner responsible_cell sigmoid",
     "cfg": "CfgError NetCensus NetGraph census grid_sizes head_channels parse_cfg"
            " propagate_shapes serialize_cfg total_grid_cells",
-    "data": "ClassRegistry Image LabeledImage aggregate_csv expand_dataset flip"
+    "data": "ClassRegistry Image LabeledImage aggregate_csv flip"
             " generate_synthetic_scene read_ppm read_yolo_labels rotate write_ppm"
             " write_yolo_labels",
     "metrics": "EvalReport GroundTruth average_precision map_50_95 match_detections"

@@ -152,15 +152,6 @@ def format_run_config(config: RunConfig) -> str:
                    for key, (_, fmt) in _RUN_CONFIG_KEYS.items())
 
 
-def _flip_name(token: str) -> str:
-    token = token.strip().lower()
-    if token in ("h", "horizontal"):
-        return "horizontal"
-    if token in ("v", "vertical"):
-        return "vertical"
-    raise ValueError(f"unknown flip axis {token!r}")
-
-
 def _load_config(args) -> RunConfig:
     return _load(args.config, parse_run_config) if args.config else RunConfig()
 
@@ -202,7 +193,8 @@ def _load_dataset_dir(directory: str):
             yield data.LabeledImage(
                 _load(os.path.join(directory, name), data.read_ppm),
                 (_load(label_path, data.read_yolo_labels, registry)
-                 if os.path.exists(label_path) else ()), name)
+                 if os.path.exists(label_path) else ()),
+                os.path.join(directory, name))
 
     return registry, samples()
 
@@ -270,7 +262,9 @@ def cmd_netinfo(args) -> int:
 def cmd_augment(args) -> int:
     registry, samples = _load_dataset_dir(args.dataset)
     rotations = [float(v) for v in args.rotations.split(",")] if args.rotations else []
-    flips = [_flip_name(v) for v in args.flips.split(",")] if args.flips else []
+    tokens = args.flips.lower().split(",") if args.flips else []
+    # an unknown token passes through, and iter_expanded rejects it by name
+    flips = [data.FLIP_AXES.get(t.strip(), t.strip()) for t in tokens]
     written = _write_dataset_dir(
         args.out, registry, data.iter_expanded(samples, rotations, flips))
     stub = data.Image(np.zeros((1, 1, 3), dtype=np.uint8))

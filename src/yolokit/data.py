@@ -383,38 +383,43 @@ def aggregate_csv(dataset: Iterable[LabeledImage], registry) -> str:
 # ---------------------------------------------------------------------------
 # Augmentation
 
+# short axis names, as `--flips` and the `_f<tag>` of variant names use them
+FLIP_AXES = {"h": "horizontal", "v": "vertical"}
+
+# `rotate` drops a resampled label whose clipped box keeps less than this
+# share of its area
+_MIN_VISIBLE = 0.2
+
+
+def _mirror(sample: LabeledImage, swap: bool, flip_x: bool,
+            flip_y: bool) -> LabeledImage:
+    """Transpose pixels and labels when `swap` is set, then mirror x
+    and/or y: each of the eight exact axis-aligned variants. Pixels move
+    by permutation, and each label coordinate is copied or becomes
+    1.0 - v, so labels on the 1/4096 grid stay on it."""
+    pixels = sample.image.pixels
+    if swap:
+        pixels = pixels.swapaxes(0, 1)
+    pixels = pixels[::-1 if flip_y else 1, ::-1 if flip_x else 1]
+    labels = []
+    for cid, b in sample.labels:
+        cx, cy, w, h = (b.cy, b.cx, b.h, b.w) if swap else (b.cx, b.cy, b.w, b.h)
+        labels.append((cid, BoxNorm(1.0 - cx if flip_x else cx,
+                                    1.0 - cy if flip_y else cy, w, h)))
+    return LabeledImage(Image(pixels.copy()), tuple(labels), sample.source_path)
+
+
 def flip(sample: LabeledImage, axis: str) -> LabeledImage:
     """Mirror pixels and labels. 'horizontal' mirrors x (cx -> 1-cx),
     'vertical' mirrors y (cy -> 1-cy). An involution on both."""
-    if _flip_axis(axis) == "horizontal":
-        pixels = sample.image.pixels[:, ::-1]
-        labels = tuple((cid, BoxNorm(1.0 - b.cx, b.cy, b.w, b.h))
-                       for cid, b in sample.labels)
-    else:
-        pixels = sample.image.pixels[::-1, :]
-        labels = tuple((cid, BoxNorm(b.cx, 1.0 - b.cy, b.w, b.h))
-                       for cid, b in sample.labels)
-    return LabeledImage(Image(pixels.copy()), labels, sample.source_path)
+    horizontal = _flip_axis(axis) == "horizontal"
+    return _mirror(sample, False, horizontal, not horizontal)
 
 
 def _flip_axis(axis: str) -> str:
-    if axis not in ("horizontal", "vertical"):
+    if axis not in FLIP_AXES.values():
         raise ValueError(f"axis must be 'horizontal' or 'vertical', got {axis!r}")
     return axis
-
-
-def _rotate_quarter_labels(labels, quarter: int):
-    """Exact label maps for k clockwise quarter turns on a square canvas."""
-    out = []
-    for cid, b in labels:
-        if quarter == 1:
-            nb = BoxNorm(1.0 - b.cy, b.cx, b.h, b.w)
-        elif quarter == 2:
-            nb = BoxNorm(1.0 - b.cx, 1.0 - b.cy, b.w, b.h)
-        else:
-            nb = BoxNorm(b.cy, 1.0 - b.cx, b.h, b.w)
-        out.append((cid, nb))
-    return tuple(out)
 
 
 def _angle_tag(angle: float) -> str:
@@ -428,30 +433,27 @@ def _finite_degrees(degrees) -> float:
     return degrees
 
 
-def rotate(sample: LabeledImage, degrees: float,
-           min_visible: float = 0.2) -> LabeledImage:
+def rotate(sample: LabeledImage, degrees: float) -> LabeledImage:
     """Rotate clockwise about the image center onto a same-size canvas
     (negative degrees turn counter-clockwise).
 
-    Square-canvas multiples of 90 degrees use an exact pixel permutation
-    and exact label coordinate maps. Any other angle resamples nearest
+    0 degrees, and multiples of 90 degrees on a square canvas, use an
+    exact pixel permutation and exact label coordinate maps. Any other
+    angle (a quarter turn of a non-square canvas too) resamples nearest
     neighbor (off-canvas source pixels become black) and replaces each
     label with the axis-aligned enclosing box of its rotated corners,
     clipped to the canvas; a label whose clipped box area falls below
-    `min_visible` of its original box area is dropped. A non-finite angle
+    `_MIN_VISIBLE` of its original box area is dropped. A non-finite angle
     raises ValueError.
     """
     deg = _finite_degrees(degrees) % 360.0
     img = sample.image
     h, w = img.height, img.width
-    if deg == 0.0:
-        return LabeledImage(Image(img.pixels.copy()), sample.labels,
-                            sample.source_path)
-    if deg % 90.0 == 0.0 and h == w:
-        quarter = int(deg // 90.0)
-        pixels = np.rot90(img.pixels, k=-quarter)
-        labels = _rotate_quarter_labels(sample.labels, quarter)
-        return LabeledImage(Image(pixels.copy()), labels, sample.source_path)
+    if deg == 0.0 or (deg % 90.0 == 0.0 and h == w):
+        # k clockwise quarter turns; k is 4 when a tiny negative angle
+        # wraps to 360.0, which the map turns into the identity
+        k = int(deg // 90.0)
+        return _mirror(sample, k % 2 == 1, k in (1, 2), k in (2, 3))
 
     theta = math.radians(deg)
     cos_t, sin_t = math.cos(theta), math.sin(theta)
@@ -482,7 +484,7 @@ def rotate(sample: LabeledImage, degrees: float,
         if x_max <= x_min or y_max <= y_min:
             continue
         clipped_area = (x_max - x_min) * (y_max - y_min)
-        if clipped_area < min_visible * corner.area:
+        if clipped_area < _MIN_VISIBLE * corner.area:
             continue
         labels.append((cid, corner_to_norm(
             BoxCorner(x_min, y_min, x_max, y_max), w, h)))
@@ -507,22 +509,15 @@ def iter_expanded(samples: Iterable[LabeledImage], rotations: Sequence[float],
         for i, value in enumerate(values):
             if any(value == v or show(value) == show(v) for v in values[:i]):
                 raise ValueError(f"repeated {kind} {show(value)}")
-    flip_states: list[str | None] = [None] + flips
+    tags = {None: "none", **{axis: tag for tag, axis in FLIP_AXES.items()}}
     for sample in samples:
         ext = os.path.splitext(sample.source_path)[1] or ".ppm"
         for angle in angles:
             rotated = rotate(sample, angle)
-            for state in flip_states:
+            for state in [None, *flips]:
                 variant = rotated if state is None else flip(rotated, state)
-                tag = "none" if state is None else state[0]
-                name = f"{sample.stem}_r{_angle_tag(angle)}_f{tag}{ext}"
+                name = f"{sample.stem}_r{_angle_tag(angle)}_f{tags[state]}{ext}"
                 yield LabeledImage(variant.image, variant.labels, name)
-
-
-def expand_dataset(samples: Sequence[LabeledImage], rotations: Sequence[float],
-                   flips: Sequence[str]) -> list[LabeledImage]:
-    """Materialized iter_expanded."""
-    return list(iter_expanded(samples, rotations, flips))
 
 
 @dataclass(frozen=True)

@@ -189,19 +189,14 @@ def _score_arrays(objectness, fields, rows, cols, strides, p_w, p_h,
     return class_id, class_score, confidence, corners
 
 
-def _detection(i, class_names, class_id, objectness, class_score,
-               confidence, corners) -> Detection:
-    """Row i of the scored arrays as a Detection named from `class_names`."""
-    cid = int(class_id[i])
-    return Detection(
-        box=BoxCorner(float(corners[i, 0]), float(corners[i, 1]),
-                      float(corners[i, 2]), float(corners[i, 3])),
-        class_id=cid,
-        class_name=class_names[cid],
-        objectness=float(objectness[i]),
-        class_score=float(class_score[i]),
-        confidence=float(confidence[i]),
-    )
+def _detections(rows, class_names, class_id, objectness, class_score,
+                confidence, corners) -> list[Detection]:
+    """The scored arrays' `rows` (an index list or a slice), in order, as
+    Detections named from `class_names`."""
+    columns = (column[rows].tolist() for column in
+               (class_id, objectness, class_score, confidence, corners))
+    return [Detection(BoxCorner(*box), cid, class_names[cid], obj, score, conf)
+            for cid, obj, score, conf, box in zip(*columns)]
 
 
 def score_predictions(raws: list[RawPrediction],
@@ -222,8 +217,8 @@ def score_predictions(raws: list[RawPrediction],
     objectness = sigmoid(fields[:, 4])
     class_id, class_score, confidence, corners = _score_arrays(
         objectness, fields, rows, cols, strides, p_w, p_h, input_n)
-    return [_detection(i, class_names, class_id, objectness, class_score,
-                       confidence, corners) for i in range(len(raws))]
+    return _detections(slice(None), class_names, class_id, objectness,
+                       class_score, confidence, corners)
 
 
 # Elements in one block's IoU matrix in `_nms_engine`: a block takes as
@@ -330,6 +325,9 @@ def detect_frame(heads, anchors, config: DetectConfig,
     # the coarsest grid has stride 32, so it fixes the input size
     input_n = heads[2].height * 32
     grids = tuple(head.height for head in heads)
+    if grids[::-1] == grid_sizes(grids[0] * 32):
+        raise ShapeError(f"head grids {grids} run coarse to fine; heads go "
+                         f"fine to coarse (expected {grids[::-1]})")
     if grids != grid_sizes(input_n):
         raise ShapeError(f"head grids {grids} inconsistent with input "
                          f"{input_n} (expected {grid_sizes(input_n)})")
@@ -356,8 +354,8 @@ def detect_frame(heads, anchors, config: DetectConfig,
         objectness, fields, rows, cols, strides, p_w, p_h, input_n)
     keep = _nms_engine(confidence, corners, class_id, objectness, config.nms,
                        config.confidence_floor)
-    return [_detection(i, class_names, class_id, objectness, class_score,
-                       confidence, corners) for i in keep]
+    return _detections(keep, class_names, class_id, objectness, class_score,
+                       confidence, corners)
 
 
 # logit magnitude for hard 0/1 targets: sigmoid(12) differs from 1 by 6e-6,

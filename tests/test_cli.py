@@ -212,6 +212,21 @@ def test_detect_rejects_a_nan_box(tmp_path, capsys):
         assert not out.exists()
 
 
+def test_detect_names_heads_given_coarse_to_fine(tmp_path, capsys):
+    (tmp_path / "classes.txt").write_text("bolt\ngear\n")
+    heads = postprocess.ground_truth_heads(
+        [(1, BoxNorm(0.25, 0.25, 0.25, 0.25))], 2, 64, cli.DEFAULT_ANCHORS)
+    head_files = [tmp_path / f"part.h{k}" for k in range(3)]
+    for path, head in zip(head_files, heads):
+        path.write_bytes(cli.write_head_bytes(head))
+    rc = cli.main(["detect", "--heads", *map(str, reversed(head_files)),
+                   "--classes", str(tmp_path / "classes.txt")])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        "yolokit: head grids (2, 4, 8) run coarse to fine; heads go fine to"
+        " coarse (expected (8, 4, 2))\n")
+
+
 def test_eval_reports_failures_with_exit_one(tmp_path, capsys):
     ds = tiny_dataset(tmp_path / "truth")
     empty = tmp_path / "dets"
@@ -334,7 +349,8 @@ def test_augment_rejects_a_non_finite_or_repeated_variant(tmp_path, capsys):
             ("90,-inf", "", "rotation -inf is not a finite angle"),
             ("0,360,0", "h,horizontal", "repeated rotation 0"),
             ("90,90.0000001", "", "repeated rotation 90"),
-            ("0,90", "v,h,vertical", "repeated flip axis 'vertical'"))):
+            ("0,90", "v,h,vertical", "repeated flip axis 'vertical'"),
+            ("0", "h,x", "axis must be 'horizontal' or 'vertical', got 'x'"))):
         out = tmp_path / f"aug{k}"
         rc = cli.main(["augment", str(ds), "--rotations", rotations,
                        "--flips", flips, "--out", str(out), "--floor", "1"])
@@ -425,7 +441,8 @@ def test_exit_code_two_on_size_mismatch(tmp_path, capsys):
     (ds / "wide.ppm").write_bytes(data.write_ppm(data.Image.new(96, 64)))
     rc = cli.main(["encode", str(ds), "--out", str(tmp_path / "heads")])
     assert rc == 2
-    assert "image is 96x64, expected 64x64" in capsys.readouterr().err
+    assert (f"yolokit: {ds / 'wide.ppm'}: image is 96x64, expected 64x64"
+            in capsys.readouterr().err)
     odd = tmp_path / "odd"
     odd.mkdir()
     (odd / "classes.txt").write_text("bolt\n")

@@ -9,7 +9,7 @@ import pytest
 from yolokit.boxes import BoxCorner, BoxNorm, norm_to_corner
 from yolokit.data import (COORD_GRID, CSV_HEADER, ClassRegistry, CsvRow,
                           Image, LabeledImage, PlacementError, aggregate_csv,
-                          class_shape, dataset_to_rows, expand_dataset,
+                          class_shape, dataset_to_rows,
                           expansion_report, flip, format_csv,
                           generate_synthetic_scene, iter_expanded, parse_csv,
                           read_labelimg_corners, read_ppm, read_yolo_labels,
@@ -286,6 +286,18 @@ def test_flip_axis_validation():
         flip(make_sample(), "diagonal")
 
 
+def test_flip_non_square_both_ways():
+    arr = np.arange(3 * 5 * 3, dtype=np.uint8).reshape(3, 5, 3)
+    sample = LabeledImage(Image(arr), ((0, BoxNorm(0.25, 0.125, 0.5, 0.25)),),
+                          "wide.ppm")
+    across = flip(sample, "horizontal")
+    assert np.array_equal(across.image.pixels, arr[:, ::-1])
+    assert across.labels == ((0, BoxNorm(0.75, 0.125, 0.5, 0.25)),)
+    down = flip(sample, "vertical")
+    assert np.array_equal(down.image.pixels, arr[::-1, :])
+    assert down.labels == ((0, BoxNorm(0.25, 0.875, 0.5, 0.25)),)
+
+
 # ---------------------------------------------------------------------------
 # rotations
 
@@ -332,6 +344,31 @@ def test_rotate_four_quarters_is_identity():
     out = sample
     for _ in range(4):
         out = rotate(out, 90.0)
+    assert out.image == sample.image
+    assert out.labels == sample.labels
+
+
+def test_rotation_composed_with_a_flip():
+    labels = [(0, BoxNorm(1373 / COORD_GRID, 2977 / COORD_GRID,
+                          800 / COORD_GRID, 501 / COORD_GRID)),
+              (1, BoxNorm(0.25, 0.125, 0.5, 0.25))]
+    sample = make_sample(labels, size=7)
+    half = flip(rotate(sample, 180.0), "horizontal")
+    down = flip(sample, "vertical")
+    assert half.image == down.image and half.labels == down.labels
+    # a quarter turn either way plus the matching mirror is the transpose
+    a = flip(rotate(sample, 90.0), "horizontal")
+    b = flip(rotate(sample, 270.0), "vertical")
+    assert a.image == b.image and a.labels == b.labels
+    assert np.array_equal(a.image.pixels, sample.image.pixels.swapaxes(0, 1))
+    assert a.labels == tuple((cid, BoxNorm(box.cy, box.cx, box.h, box.w))
+                             for cid, box in labels)
+
+
+def test_rotate_tiny_negative_angle_is_identity():
+    # -1e-20 % 360 is 360.0: four quarter turns, for pixels and labels
+    sample = make_sample([(0, BoxNorm(0.25, 0.5, 0.25, 0.125))], size=8)
+    out = rotate(sample, -1e-20)
     assert out.image == sample.image
     assert out.labels == sample.labels
 
@@ -383,7 +420,7 @@ def test_rotate_non_square_uses_resample_path():
 def test_iter_expanded_counts_and_names():
     sample = make_sample([(0, BoxNorm(0.5, 0.5, 0.25, 0.25))], name="base.ppm")
     angles = [30.0 * k for k in range(12)]
-    variants = expand_dataset([sample], angles, ["horizontal", "vertical"])
+    variants = list(iter_expanded([sample], angles, ["horizontal", "vertical"]))
     assert len(variants) == 36
     names = [v.source_path for v in variants]
     assert names[0] == "base_r0_fnone.ppm"

@@ -497,7 +497,7 @@ PUBLIC_NAMES = [
     "head_channels", "parse_cfg", "propagate_shapes", "serialize_cfg",
     "total_grid_cells",
     "ClassRegistry", "Image", "LabeledImage", "aggregate_csv",
-    "expand_dataset", "flip", "generate_synthetic_scene", "read_ppm",
+    "flip", "generate_synthetic_scene", "read_ppm",
     "read_yolo_labels", "rotate", "write_ppm", "write_yolo_labels",
     "EvalReport", "GroundTruth", "average_precision", "map_50_95",
     "match_detections", "scenario_report",
