@@ -355,22 +355,25 @@ def cmd_detect(args) -> int:
 
 def cmd_eval(args) -> int:
     registry, truth = _load_dataset_dir(args.truth)
-    samples = []
     paired = set()
-    for sample in truth:
-        paired.add(sample.stem + ".txt")
-        gts = [metrics.GroundTruth(
-            norm_to_corner(box, sample.image.width, sample.image.height), cid)
-            for cid, box in sample.labels]
-        det_path = os.path.join(args.detections, sample.stem + ".txt")
-        dets = (_load(det_path, postprocess.parse_detection_lines, registry.names)
-                if os.path.exists(det_path) else [])
-        samples.append((dets, gts))
+
+    def samples():
+        # read one image at a time, after scenario_report checks its arguments
+        for sample in truth:
+            paired.add(sample.stem + ".txt")
+            gts = [metrics.GroundTruth(
+                norm_to_corner(box, sample.image.width, sample.image.height), cid)
+                for cid, box in sample.labels]
+            det_path = os.path.join(args.detections, sample.stem + ".txt")
+            dets = (_load(det_path, postprocess.parse_detection_lines, registry.names)
+                    if os.path.exists(det_path) else [])
+            yield dets, gts
+
     try:  # a number names the scenario at that position
         scenario = SCENARIO_BY_NUMBER.get(int(args.scenario), int(args.scenario))
     except ValueError:
         scenario = args.scenario
-    report = metrics.scenario_report(samples, scenario, args.iou)
+    report = metrics.scenario_report(samples(), scenario, args.iou)
     orphans = sorted(name for name in os.listdir(args.detections)
                      if name.endswith(".txt") and name not in paired)
     if orphans:
@@ -557,9 +560,5 @@ def main(argv=None) -> int:
         return 2
 
 
-def run() -> None:
-    raise SystemExit(main())
-
-
 if __name__ == "__main__":
-    run()
+    raise SystemExit(main())

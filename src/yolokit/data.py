@@ -493,14 +493,14 @@ def rotate(sample: LabeledImage, degrees: float) -> LabeledImage:
 
 def iter_expanded(samples: Iterable[LabeledImage], rotations: Sequence[float],
                   flips: Sequence[str]) -> Iterator[LabeledImage]:
-    """Lazily yield every (rotation x flip-state) variant of every sample.
+    """Every (rotation x flip-state) variant of every sample, made lazily.
 
     Flip states are identity plus each requested axis; an empty rotation
     list behaves as a single 0-degree rotation (flips-only expansion).
     Variant names follow `<stem>_r<deg>_f<axis>`. A non-finite angle, an
     angle equal to an earlier one or named like it in `<deg>` (90 and
     90.0000001 are both `r90`), an unknown axis or a repeated axis raises
-    ValueError before the first variant.
+    ValueError from this call, before any sample is read.
     """
     angles = [_finite_degrees(angle) for angle in rotations] or [0.0]
     flips = [_flip_axis(axis) for axis in flips]
@@ -510,14 +510,18 @@ def iter_expanded(samples: Iterable[LabeledImage], rotations: Sequence[float],
             if any(value == v or show(value) == show(v) for v in values[:i]):
                 raise ValueError(f"repeated {kind} {show(value)}")
     tags = {None: "none", **{axis: tag for tag, axis in FLIP_AXES.items()}}
-    for sample in samples:
-        ext = os.path.splitext(sample.source_path)[1] or ".ppm"
-        for angle in angles:
-            rotated = rotate(sample, angle)
-            for state in [None, *flips]:
-                variant = rotated if state is None else flip(rotated, state)
-                name = f"{sample.stem}_r{_angle_tag(angle)}_f{tags[state]}{ext}"
-                yield LabeledImage(variant.image, variant.labels, name)
+
+    def variants():
+        for sample in samples:
+            ext = os.path.splitext(sample.source_path)[1] or ".ppm"
+            for angle in angles:
+                rotated = rotate(sample, angle)
+                for state in [None, *flips]:
+                    variant = rotated if state is None else flip(rotated, state)
+                    name = f"{sample.stem}_r{_angle_tag(angle)}_f{tags[state]}{ext}"
+                    yield LabeledImage(variant.image, variant.labels, name)
+
+    return variants()
 
 
 @dataclass(frozen=True)
@@ -525,7 +529,6 @@ class ExpansionReport:
     """Per-class image counts of a dataset and which classes miss a floor."""
 
     per_class: dict
-    floor: int
     below_floor: tuple
 
 
@@ -538,7 +541,7 @@ def expansion_report(samples: Iterable[LabeledImage], registry,
         for cid in present:
             counts[registry[cid]] += 1
     below = tuple(name for name in registry if counts[name] < floor)
-    return ExpansionReport(counts, floor, below)
+    return ExpansionReport(counts, below)
 
 
 # ---------------------------------------------------------------------------

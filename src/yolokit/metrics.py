@@ -7,16 +7,17 @@ pairs, one pair per image. Matching is greedy in descending confidence
 unmatched same-class ground truth, preferring the highest IoU at or above
 the threshold (IoU ties to the lower ground-truth index).
 
-AP, mAP and the scenario failure count come from one dataset pass: one IoU
-per same-class (detection, ground truth) pair, greedy matching from those
-at every threshold, and one confidence ranking, split by class afterwards
-since matching never pairs different classes.
+AP, mAP and the scenario failure count come from one pass that reads each
+image once: one IoU per same-class (detection, ground truth) pair, greedy
+matching from those at every threshold, and each detection's hit flags,
+ranked once by confidence and split by class, since matching never pairs
+different classes.
 """
 
 from __future__ import annotations
 
 import json
-from collections import Counter, defaultdict
+from collections import Counter
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -123,21 +124,35 @@ def match_detections(dets: Sequence[Detection], gts: Sequence[GroundTruth],
 
 
 def _evaluate(samples, thresholds):
-    """Per threshold, the AP of each class with ground truth (class order),
-    and each image's `_match_image` result at the last threshold. Equal
-    confidences rank by (image index, detection index)."""
-    total_gt = Counter(g.class_id for _, gts in samples for g in gts)
-    per_image = [_match_image(dets, gts, thresholds) for dets, gts in samples]
-    ranked = sorted((-d.confidence, img_idx, det_idx, d.class_id)
-                    for img_idx, (dets, _) in enumerate(samples)
-                    for det_idx, d in enumerate(dets))
-    flags = [defaultdict(list) for _ in thresholds]
-    for _, img_idx, det_idx, class_id in ranked:
-        for by_class, (matched, _) in zip(flags, per_image[img_idx]):
-            by_class[class_id].append(matched[det_idx][0] is not None)
-    ap = [{c: _interpolated_ap(by_class[c], total_gt[c]) for c in sorted(total_gt)}
-          for by_class in flags]
-    return ap, [results[-1] for results in per_image]
+    """One pass over `samples`: per threshold, the AP of each class with
+    ground truth (class order); then the image count, the images that fail
+    at the last threshold and the confidences matched there, in (image,
+    detection) order. Equal confidences rank by (image, detection) index."""
+    total_gt = Counter()
+    confidence, class_ids = [], []
+    hits = bytearray()  # one flag per (detection, threshold), row-major
+    images = failed = 0
+    for dets, gts in samples:
+        results = _match_image(dets, gts, thresholds)
+        total_gt.update(g.class_id for g in gts)
+        for i, d in enumerate(dets):
+            confidence.append(d.confidence)
+            class_ids.append(d.class_id)
+            hits.extend(matched[i][0] is not None for matched, _ in results)
+        # each match takes its own truth, so every truth is taken when there
+        # are as many detections as truths and every detection matched
+        failed += len(dets) != len(gts) or any(j is None for j, _ in results[-1][0])
+        images += 1
+    flags = np.frombuffer(hits, dtype=bool).reshape(-1, len(thresholds))
+    matched_conf = [c for c, hit in zip(confidence, flags[:, -1]) if hit]
+    order = np.argsort(-np.array(confidence, dtype=float), kind="stable")
+    ranked_class = np.array(class_ids, dtype=int)[order]
+    ranked_flags = flags[order]
+    by_class = {c: ranked_flags[ranked_class == c] for c in sorted(total_gt)}
+    ap = [{c: _interpolated_ap(ranked[:, k], total_gt[c])
+           for c, ranked in by_class.items()}
+          for k in range(len(thresholds))]
+    return ap, (images, failed, matched_conf)
 
 
 def _interpolated_ap(flags, total_gt: int) -> float:
@@ -198,18 +213,15 @@ def scenario_report(samples, scenario: str,
     if scenario not in SCENARIOS:
         raise ValueError(f"unknown scenario {scenario!r}, need one of {SCENARIOS}")
     check_unit_interval("error_iou_threshold", error_iou_threshold)
-    ap, last = _evaluate(samples, IOU_THRESHOLDS + (error_iou_threshold,))
+    ap, (images, failed, matched_conf) = _evaluate(
+        samples, IOU_THRESHOLDS + (error_iou_threshold,))
     base = _map_report(ap)
-    failed = sum(not all(taken) or any(j is None for j, _ in matched)
-                 for matched, taken in last)
-    matched_conf = [d.confidence for (dets, _), (matched, _) in zip(samples, last)
-                    for d, (j, _) in zip(dets, matched) if j is not None]
     stats = (ConfidenceStats(min(matched_conf), max(matched_conf),
                              sum(matched_conf) / len(matched_conf))
              if matched_conf else None)
     return replace(base, scenario=scenario,
-                   error_rate=failed / len(samples),
-                   failed_images=failed, total_images=len(samples),
+                   error_rate=failed / images,
+                   failed_images=failed, total_images=images,
                    confidence_stats=stats)
 
 

@@ -256,6 +256,20 @@ def test_eval_names_detection_files_without_truth(tmp_path, capsys):
     assert "part.txt" not in line and "notes.md" not in line
 
 
+def test_eval_checks_its_arguments_before_reading_detections(tmp_path, capsys):
+    ds = tiny_dataset(tmp_path / "truth")
+    dets = tmp_path / "dets"
+    dets.mkdir()
+    (dets / "part.txt").write_text("gear x 16 16 32 32\n")  # not a confidence
+    for option, message in ((["--iou", "1.5"], "error_iou_threshold 1.5"),
+                            (["--scenario", "9"], "unknown scenario 9")):
+        rc = cli.main(["eval", "--detections", str(dets), "--truth", str(ds),
+                       *option])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"yolokit: {message}") and "part.txt" not in err
+
+
 # ---------------------------------------------------------------------------
 # label tools
 
@@ -357,7 +371,7 @@ def test_augment_rejects_a_non_finite_or_repeated_variant(tmp_path, capsys):
         assert rc == 2
         captured = capsys.readouterr()
         assert captured.err == f"yolokit: {message}\n" and captured.out == ""
-        assert not list(out.glob("*.ppm"))
+        assert not out.exists()
 
 
 def test_augment_reports_floor_breach(tmp_path, capsys):

@@ -449,9 +449,8 @@ def test_iter_expanded_rejects_bad_variants_before_the_first():
             ([0.0, 90.0], ["horizontal", "vertical", "horizontal"],
              "repeated flip axis 'horizontal'"),
             ([0.0, math.nan], [], "rotation nan is not a finite angle")):
-        variants = iter_expanded([sample], rotations, flips)
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            next(variants)
+            iter_expanded([sample], rotations, flips)
 
 
 def test_iter_expanded_empty_rotations_means_flips_only():

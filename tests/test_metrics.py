@@ -291,6 +291,22 @@ def test_scenario_report_agrees_with_match_and_ap(images, tied):
             assert per_class_ap[c][u] == average_precision(samples, c, u)
 
 
+def test_reports_read_a_single_use_iterable_once():
+    rng = np.random.default_rng(7)
+    checked = 0
+    while checked < 20:
+        samples = [to_api(random_sample(rng)) for _ in range(int(rng.integers(1, 6)))]
+        present = sorted({g.class_id for _, gts in samples for g in gts})
+        if not present:
+            continue
+        assert (scenario_report(iter(samples), "all-classes", 0.6)
+                == scenario_report(samples, "all-classes", 0.6))
+        assert map_50_95(iter(samples)) == map_50_95(samples)
+        assert (average_precision(iter(samples), present[0], 0.75)
+                == average_precision(samples, present[0], 0.75))
+        checked += 1
+
+
 # ---------------------------------------------------------------------------
 # report rendering
 
