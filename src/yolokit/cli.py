@@ -261,7 +261,7 @@ def cmd_netinfo(args) -> int:
 
 def cmd_augment(args) -> int:
     registry, samples = _load_dataset_dir(args.dataset)
-    rotations = [float(v) for v in args.rotations.split(",")] if args.rotations else []
+    rotations = args.rotations.split(",") if args.rotations else []
     tokens = args.flips.lower().split(",") if args.flips else []
     # an unknown token passes through, and iter_expanded rejects it by name
     flips = [data.FLIP_AXES.get(t.strip(), t.strip()) for t in tokens]
@@ -282,6 +282,8 @@ def cmd_augment(args) -> int:
 
 
 def cmd_labels_convert(args) -> int:
+    if args.src == args.dst:
+        raise ValueError(f"--from and --to are both {args.src}; nothing to convert")
     registry = _load(args.classes, data.ClassRegistry.from_text)
     os.makedirs(args.out, exist_ok=True)
     converted = 0
@@ -292,17 +294,15 @@ def cmd_labels_convert(args) -> int:
         image = _load(os.path.join(args.dir, stem + ".ppm"), data.read_ppm)
         w, h = image.width, image.height
         label_path = os.path.join(args.dir, name)
-        if args.src == "labelimg" and args.dst == "yolo":
+        if args.src == "labelimg":
             # converted inside the loader: a box YOLO cannot hold names the file
             out_text = _load(label_path, lambda text: data.write_yolo_labels(
                 (cid, corner_to_norm(box, w, h))
                 for cid, box in data.read_labelimg_corners(text, (w, h), registry)))
-        elif args.src == "yolo" and args.dst == "labelimg":
+        else:
             labels = _load(label_path, data.read_yolo_labels, registry)
             out_text = data.write_labelimg_corners(
                 ((cid, norm_to_corner(box, w, h)) for cid, box in labels), registry)
-        else:
-            raise ValueError(f"unsupported conversion {args.src} -> {args.dst}")
         _write_text(os.path.join(args.out, name), out_text)
         converted += 1
     print(f"converted {converted} label files to {args.out}")

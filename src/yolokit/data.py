@@ -427,7 +427,10 @@ def _angle_tag(angle: float) -> str:
 
 
 def _finite_degrees(degrees) -> float:
-    degrees = float(degrees)
+    try:
+        degrees = float(degrees)
+    except ValueError:
+        raise ValueError(f"rotation {degrees!r} is not a number") from None
     if not math.isfinite(degrees):
         raise ValueError(f"rotation {_angle_tag(degrees)} is not a finite angle")
     return degrees
@@ -491,16 +494,16 @@ def rotate(sample: LabeledImage, degrees: float) -> LabeledImage:
     return LabeledImage(Image(pixels), tuple(labels), sample.source_path)
 
 
-def iter_expanded(samples: Iterable[LabeledImage], rotations: Sequence[float],
+def iter_expanded(samples: Iterable[LabeledImage], rotations: Sequence,
                   flips: Sequence[str]) -> Iterator[LabeledImage]:
     """Every (rotation x flip-state) variant of every sample, made lazily.
 
     Flip states are identity plus each requested axis; an empty rotation
     list behaves as a single 0-degree rotation (flips-only expansion).
-    Variant names follow `<stem>_r<deg>_f<axis>`. A non-finite angle, an
-    angle equal to an earlier one or named like it in `<deg>` (90 and
-    90.0000001 are both `r90`), an unknown axis or a repeated axis raises
-    ValueError from this call, before any sample is read.
+    Variant names follow `<stem>_r<deg>_f<axis>`. A non-number or
+    non-finite angle, an angle equal to an earlier one or named like it in
+    `<deg>` (90 and 90.0000001 are both `r90`), an unknown axis or a
+    repeated axis raises ValueError from this call, before any sample is read.
     """
     angles = [_finite_degrees(angle) for angle in rotations] or [0.0]
     flips = [_flip_axis(axis) for axis in flips]

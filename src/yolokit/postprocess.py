@@ -11,16 +11,16 @@ identical to running the list functions in sequence.
 Both paths read a head through one slot table: one row of fields per
 anchor slot, and that slot's grid row, column, stride and anchor size.
 They score through one function and suppress through one engine.
-`detect_frame` first takes the sigmoid objectness of every slot and
-scores, decodes and suppresses only the slots that reach the drop
-threshold. The gate is exact: class scores are at most 1, so a slot's
-confidence never exceeds its objectness and no gated-out slot could pass
-either drop key. NMS computes IoU a block of candidates at a time and
-walks each block greedily, so it makes the same keep/suppress decisions
-as popping one candidate at a time. `detect_frame` applies the confidence
-floor before suppression, not after it, which is exact too: NMS pops in
-descending confidence, so a candidate below the floor pops after every
-one at or above it and can suppress none of them.
+One drop rule decides what `detect_frame` outputs: a slot's confidence
+(objectness * class_score) must reach max(objectness_threshold,
+confidence_floor). Using the floor before suppression is exact: NMS pops
+in descending confidence, so a candidate below the floor pops after every
+one at or above it and can suppress none of them. `detect_frame` scores,
+decodes and suppresses only the slots whose sigmoid objectness reaches
+that threshold, which is exact because class scores are at most 1. NMS
+computes IoU a block of candidates at a time and walks each block
+greedily, so it makes the same keep/suppress decisions as popping one
+candidate at a time.
 
 Both paths reject a NaN objectness logit, and a NaN in any row they
 score, with one ValueError that names the scale, cell, slot and channel.
@@ -84,16 +84,14 @@ class Detection:
 class NmsConfig:
     """Suppression thresholds.
 
-    Detections scoring under `objectness_threshold` are dropped before
-    suppression. By default the drop key is the combined confidence; set
-    `use_raw_objectness` to threshold the sigmoid objectness instead.
-    `per_class` restricts suppression to pairs sharing a class_id.
+    Detections whose confidence (objectness * class_score) is under
+    `objectness_threshold` are dropped before suppression, as darknet's
+    `thresh`. `per_class` restricts suppression to pairs sharing a class_id.
     """
 
     objectness_threshold: float = 0.25
     iou_threshold: float = 0.45
     per_class: bool = False
-    use_raw_objectness: bool = False
 
     def __post_init__(self):
         check_unit_interval("objectness_threshold", self.objectness_threshold)
@@ -229,11 +227,10 @@ _NMS_BLOCK_ELEMENTS = 1 << 15
 
 
 def _nms_engine(confidence: np.ndarray, corners: np.ndarray,
-                class_id: np.ndarray, objectness: np.ndarray,
-                config: NmsConfig, floor: float = 0.0) -> list[int]:
+                class_id: np.ndarray, drop: float, config: NmsConfig) -> list[int]:
     """Greedy suppression over parallel arrays; returns kept indices in
     pop order (descending confidence, ties to the lower original index)
-    among the candidates that pass the drop key and reach `floor`.
+    among the candidates whose confidence reaches `drop`.
 
     Works on blocks of consecutive pending candidates in pop order: one
     broadcast gives each block row's IoU with every pending candidate,
@@ -241,9 +238,7 @@ def _nms_engine(confidence: np.ndarray, corners: np.ndarray,
     is kept and removes the candidates it suppresses, so every decision
     is the one the one-pop-at-a-time loop makes.
     """
-    drop_key = objectness if config.use_raw_objectness else confidence
-    candidates = np.flatnonzero((drop_key >= config.objectness_threshold)
-                                & (confidence >= floor))
+    candidates = np.flatnonzero(confidence >= drop)
     # stable sort on negated confidence = pop-max with lowest-index ties
     order = candidates[np.argsort(-confidence[candidates], kind="stable")]
     x_min, y_min, x_max, y_max = (corners[order, k] for k in range(4))
@@ -280,11 +275,11 @@ def nms(detections: list[Detection], config: NmsConfig) -> list[Detection]:
     if not detections:
         return []
     confidence = np.array([d.confidence for d in detections])
-    objectness = np.array([d.objectness for d in detections])
     corners = np.array([(d.box.x_min, d.box.y_min, d.box.x_max, d.box.y_max)
                         for d in detections])
     class_id = np.array([d.class_id for d in detections])
-    keep = _nms_engine(confidence, corners, class_id, objectness, config)
+    keep = _nms_engine(confidence, corners, class_id,
+                       config.objectness_threshold, config)
     return [detections[i] for i in keep]
 
 
@@ -304,18 +299,17 @@ def detect_frame(heads, anchors, config: DetectConfig,
     per scale in the same order. Equivalent to extract -> score -> nms ->
     two_stage_filter, with array internals so a full frame stays cheap.
 
-    Only slots whose sigmoid objectness reaches
-    `config.nms.objectness_threshold` are scored, decoded and suppressed.
-    That gate is exact under either drop key: class scores are at most 1,
-    so confidence = objectness * class_score <= objectness in IEEE
-    arithmetic, and a slot below the gate could never pass the drop
-    threshold. The gated slots keep their original order, so NMS breaks
-    confidence ties as the full pipeline does. Only gated slots that reach
-    `config.confidence_floor` enter NMS, and every slot it keeps is
-    output; a slot below the floor pops after every slot at or above it,
-    so it could suppress none of them and the kept set and order above
-    the floor are unchanged. A NaN objectness, or a NaN in a gated slot's
-    row, raises ValueError.
+    One drop threshold, max(`config.nms.objectness_threshold`,
+    `config.confidence_floor`), decides what is output: only slots whose
+    sigmoid objectness reaches it are scored and decoded, and only those
+    whose confidence reaches it enter NMS, which outputs every slot it
+    keeps. The gate is exact because class scores are at most 1, so
+    confidence = objectness * class_score <= objectness in IEEE arithmetic;
+    the floor before NMS is exact because a slot below it pops after every
+    slot at or above it. The gated slots keep their original order, so NMS
+    breaks confidence ties as the full pipeline does. A NaN objectness, or
+    a NaN in a gated slot's row, raises ValueError; the rows of slots below
+    the gate are not checked.
     """
     heads = tuple(heads)
     if len(heads) != 3:
@@ -336,7 +330,8 @@ def detect_frame(heads, anchors, config: DetectConfig,
     objectness = sigmoid(np.concatenate([fields[:, 4] for _, fields in scales]))
     # a NaN objectness is not below the gate either, so the row check
     # below rejects it
-    live = np.flatnonzero(~(objectness < config.nms.objectness_threshold))
+    drop = max(config.nms.objectness_threshold, config.confidence_floor)
+    live = np.flatnonzero(~(objectness < drop))
     parts = []
     start = 0
     for scale, (grid_n, fields) in enumerate(scales):
@@ -352,8 +347,7 @@ def detect_frame(heads, anchors, config: DetectConfig,
     objectness = objectness[live]
     class_id, class_score, confidence, corners = _score_arrays(
         objectness, fields, rows, cols, strides, p_w, p_h, input_n)
-    keep = _nms_engine(confidence, corners, class_id, objectness, config.nms,
-                       config.confidence_floor)
+    keep = _nms_engine(confidence, corners, class_id, drop, config.nms)
     return _detections(keep, class_names, class_id, objectness, class_score,
                        confidence, corners)
 

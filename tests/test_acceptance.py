@@ -228,8 +228,7 @@ def test_c05_nms_oracle_equivalence():
         config = NmsConfig(
             objectness_threshold=float(rng.choice([0.0, 0.25, 0.5])),
             iou_threshold=float(rng.choice([0.2, 0.45, 0.9])),
-            per_class=bool(rng.integers(2)),
-            use_raw_objectness=bool(rng.integers(2)))
+            per_class=bool(rng.integers(2)))
         kept = nms(dets, config)
         want = nms_ref(
             [(d.box.x_min, d.box.y_min, d.box.x_max, d.box.y_max)
@@ -237,7 +236,7 @@ def test_c05_nms_oracle_equivalence():
             [d.confidence for d in dets], [d.class_id for d in dets],
             [d.objectness for d in dets],
             config.objectness_threshold, config.iou_threshold,
-            config.per_class, config.use_raw_objectness)
+            config.per_class)
         assert [dets[i] for i in want] == kept
     elapsed = time.perf_counter() - start
     assert elapsed < 5.0

@@ -299,6 +299,23 @@ def test_labels_convert_both_directions(tmp_path, capsys):
     assert "converted 1 label files" in capsys.readouterr().out
 
 
+def test_labels_convert_rejects_one_format_on_both_sides(tmp_path, capsys):
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    (empty / "classes.txt").write_text("bolt\ngear\n")
+    for src in (empty, tiny_dataset(tmp_path / "ds")):
+        for fmt in ("yolo", "labelimg"):
+            out = tmp_path / f"{src.name}_{fmt}"
+            rc = cli.main(["labels", "convert", "--from", fmt, "--to", fmt,
+                           "--dir", str(src), "--classes", str(src / "classes.txt"),
+                           "--out", str(out)])
+            assert rc == 2
+            captured = capsys.readouterr()
+            assert captured.err == \
+                f"yolokit: --from and --to are both {fmt}; nothing to convert\n"
+            assert captured.out == "" and not out.exists()
+
+
 def test_labels_csv_holds_one_image_at_a_time(tmp_path, capsys):
     ds = tmp_path / "ds"
     assert cli.main(["synth", "--scenario", "3", "--count", "6", "--out", str(ds)]) == 0
@@ -364,7 +381,8 @@ def test_augment_rejects_a_non_finite_or_repeated_variant(tmp_path, capsys):
             ("0,360,0", "h,horizontal", "repeated rotation 0"),
             ("90,90.0000001", "", "repeated rotation 90"),
             ("0,90", "v,h,vertical", "repeated flip axis 'vertical'"),
-            ("0", "h,x", "axis must be 'horizontal' or 'vertical', got 'x'"))):
+            ("0", "h,x", "axis must be 'horizontal' or 'vertical', got 'x'"),
+            ("90,abc", "", "rotation 'abc' is not a number"))):
         out = tmp_path / f"aug{k}"
         rc = cli.main(["augment", str(ds), "--rotations", rotations,
                        "--flips", flips, "--out", str(out), "--floor", "1"])

@@ -162,18 +162,6 @@ def test_nms_per_class_keeps_other_classes():
     assert nms([a, b], NmsConfig(per_class=True)) == [a, b]
 
 
-def test_nms_raw_objectness_gate():
-    strong_obj = make_detection((0, 0, 10, 10), 0.2, objectness=0.9,
-                                class_score=0.25)
-    config = NmsConfig(use_raw_objectness=True)
-    assert nms([strong_obj], config) == [strong_obj]
-    assert nms([strong_obj], NmsConfig()) == []
-    # pop order still follows combined confidence
-    weak = make_detection((50, 50, 60, 60), 0.3, objectness=0.5,
-                          class_score=0.6)
-    assert nms([strong_obj, weak], config) == [weak, strong_obj]
-
-
 def test_nms_matches_brute_force_on_random_instances():
     rng = np.random.default_rng(42)
     for _ in range(300):
@@ -192,15 +180,14 @@ def test_nms_matches_brute_force_on_random_instances():
         config = NmsConfig(
             objectness_threshold=float(rng.choice([0.0, 0.25, 0.5])),
             iou_threshold=float(rng.choice([0.2, 0.45, 0.9])),
-            per_class=bool(rng.integers(2)),
-            use_raw_objectness=bool(rng.integers(2)))
+            per_class=bool(rng.integers(2)))
         kept = nms(dets, config)
         want = nms_ref(
             [(d.box.x_min, d.box.y_min, d.box.x_max, d.box.y_max) for d in dets],
             [d.confidence for d in dets], [d.class_id for d in dets],
             [d.objectness for d in dets],
             config.objectness_threshold, config.iou_threshold,
-            config.per_class, config.use_raw_objectness)
+            config.per_class)
         assert [dets[i] for i in want] == kept
 
 
@@ -219,8 +206,7 @@ def nms_instances(draw):
     config = NmsConfig(
         objectness_threshold=draw(st.sampled_from([0.0, 0.25, 0.5])),
         iou_threshold=draw(st.sampled_from([0.0, 0.2, 0.45, 0.9, 1.0])),
-        per_class=draw(st.booleans()),
-        use_raw_objectness=draw(st.booleans()))
+        per_class=draw(st.booleans()))
     return dets, config
 
 
@@ -238,7 +224,7 @@ def test_nms_blocks_match_brute_force(instance, block_elements):
         [d.confidence for d in dets], [d.class_id for d in dets],
         [d.objectness for d in dets],
         config.objectness_threshold, config.iou_threshold,
-        config.per_class, config.use_raw_objectness)
+        config.per_class)
     assert [dets[i] for i in want] == kept
 
 
@@ -282,29 +268,55 @@ def gated_frame():
 
 
 @pytest.mark.parametrize(
-    "threshold,raw_objectness,per_class,iou_threshold,floor",
+    "threshold,small_blocks,per_class,iou_threshold,floor",
     itertools.product((0.0, 0.25, 1.0), (False, True), (False, True),
                       (0.0, 0.45, 1.0), (0.0, 0.5)))
-def test_detect_frame_equals_staged_pipeline(gated_frame, threshold,
-                                             raw_objectness, per_class,
-                                             iou_threshold, floor):
+def test_detect_frame_equals_staged_pipeline(gated_frame, monkeypatch,
+                                             threshold, small_blocks,
+                                             per_class, iou_threshold, floor):
     heads, scored = gated_frame
     config = DetectConfig(
         nms=NmsConfig(objectness_threshold=threshold,
-                      iou_threshold=iou_threshold, per_class=per_class,
-                      use_raw_objectness=raw_objectness),
+                      iou_threshold=iou_threshold, per_class=per_class),
         confidence_floor=floor)
+    if threshold < 1.0:
+        # more candidates than fit in one NMS block: those whose
+        # confidence reaches both the threshold and the floor
+        suppressed = sum(d.confidence >= max(threshold, floor) for d in scored)
+        assert suppressed ** 2 > postprocess._NMS_BLOCK_ELEMENTS
+    if small_blocks:
+        # one-row blocks while more than 64 candidates are pending
+        monkeypatch.setattr(postprocess, "_NMS_BLOCK_ELEMENTS", 64)
     fast = detect_frame(heads, NINE_ANCHORS, config, ["a", "b", "c", "d"])
     staged = two_stage_filter(nms(scored, config.nms),
                               config.confidence_floor)
     assert fast == staged
-    if threshold < 1.0:
-        # more candidates than fit in one NMS block: those that pass the
-        # drop key and reach the floor
-        suppressed = sum(
-            (d.objectness if raw_objectness else d.confidence) >= threshold
-            and d.confidence >= floor for d in scored)
-        assert suppressed ** 2 > postprocess._NMS_BLOCK_ELEMENTS
+
+
+@pytest.mark.parametrize("threshold,floor", [(0.25, 0.5), (0.5, 0.25),
+                                             (0.6, 0.6)])
+def test_detect_frame_scores_the_slots_reaching_the_drop_threshold(
+        gated_frame, monkeypatch, threshold, floor):
+    """Exactly the slots whose objectness reaches max(threshold, floor)
+    reach scoring, in slot order."""
+    heads, scored = gated_frame
+    slots = np.concatenate([head.data.reshape(-1, 9) for head in heads])
+    want = [i for i, d in enumerate(scored)
+            if d.objectness >= max(threshold, floor)]
+    assert want
+    score_arrays = postprocess._score_arrays
+    seen = []
+
+    def recording_score_arrays(objectness, fields, *rest):
+        seen.append(fields)
+        return score_arrays(objectness, fields, *rest)
+
+    monkeypatch.setattr(postprocess, "_score_arrays", recording_score_arrays)
+    config = DetectConfig(nms=NmsConfig(objectness_threshold=threshold),
+                          confidence_floor=floor)
+    detect_frame(heads, NINE_ANCHORS, config, ["a", "b", "c", "d"])
+    assert len(seen) == 1
+    np.testing.assert_array_equal(seen[0], slots[want])
 
 
 def test_detect_frame_computes_iou_only_above_the_floor(gated_frame,
