@@ -168,7 +168,8 @@ def iou(a: BoxCorner, b: BoxCorner) -> float:
 def iou_one_to_many(box: BoxCorner | tuple, x_min: np.ndarray,
                     y_min: np.ndarray, x_max: np.ndarray,
                     y_max: np.ndarray) -> np.ndarray:
-    """IoU of `box` against parallel corner arrays (same math as iou).
+    """IoU of `box` against parallel corner arrays (same math as iou),
+    computed in float64.
 
     `box` is a BoxCorner or an (x_min, y_min, x_max, y_max) tuple whose
     entries broadcast against the arrays, so column vectors give the IoU
@@ -177,13 +178,20 @@ def iou_one_to_many(box: BoxCorner | tuple, x_min: np.ndarray,
     if isinstance(box, BoxCorner):
         box = (box.x_min, box.y_min, box.x_max, box.y_max)
     b_x_min, b_y_min, b_x_max, b_y_max = box
-    ix = np.minimum(b_x_max, x_max) - np.maximum(b_x_min, x_min)
-    iy = np.minimum(b_y_max, y_max) - np.maximum(b_y_min, y_min)
-    inter = np.where((ix > 0.0) & (iy > 0.0), ix * iy, 0.0)
-    union = ((b_x_max - b_x_min) * (b_y_max - b_y_min)
-             + (x_max - x_min) * (y_max - y_min) - inter)
-    out = np.zeros_like(inter)
-    np.divide(inter, union, out=out, where=union > 0.0)
+    # iou's steps in its order, each in place, so the bits match
+    ix = np.minimum(b_x_max, x_max, dtype=np.float64)
+    ix -= np.maximum(b_x_min, x_min)
+    iy = np.minimum(b_y_max, y_max, dtype=np.float64)
+    iy -= np.maximum(b_y_min, y_min)
+    empty = ~((ix > 0.0) & (iy > 0.0))  # a NaN overlap is empty too
+    inter = np.multiply(ix, iy, out=ix)
+    inter[empty] = 0.0
+    union = np.add((b_x_max - b_x_min) * (b_y_max - b_y_min),
+                   (x_max - x_min) * (y_max - y_min), out=iy)
+    union -= inter
+    valid = union > 0.0
+    out = np.divide(inter, union, out=inter, where=valid)
+    out[~valid] = 0.0
     return out
 
 

@@ -66,7 +66,7 @@ def read_head_bytes(blob: bytes) -> Tensor:
     expect = 12 + grid_n * grid_n * channels * 4
     if len(blob) != expect:
         raise ValueError(f"payload is {len(blob)} bytes, expected {expect}")
-    values = np.frombuffer(blob, dtype="<f4", offset=12).astype(np.float64)
+    values = np.frombuffer(blob, dtype="<f4", offset=12)
     return Tensor(values.reshape(grid_n, grid_n, channels), copy=False)
 
 

@@ -17,10 +17,14 @@ confidence_floor). Using the floor before suppression is exact: NMS pops
 in descending confidence, so a candidate below the floor pops after every
 one at or above it and can suppress none of them. `detect_frame` scores,
 decodes and suppresses only the slots whose sigmoid objectness reaches
-that threshold, which is exact because class scores are at most 1. NMS
-computes IoU a block of candidates at a time and walks each block
-greedily, so it makes the same keep/suppress decisions as popping one
-candidate at a time.
+that threshold, which is exact because class scores are at most 1. It
+finds them in two steps: a prefilter compares the raw objectness logits,
+as read (float32 from a head file), with a bound that no logit reaching
+the threshold falls below; then the exact sigmoid test runs on the few
+survivors. Only the survivors' logits and the gated slots' rows are
+widened to float64. NMS computes IoU a block of candidates at a time and
+walks each block greedily, so it makes the same keep/suppress decisions
+as popping one candidate at a time.
 
 Both paths reject a NaN objectness logit, and a NaN in any row they
 score, with one ValueError that names the scale, cell, slot and channel.
@@ -128,10 +132,11 @@ def _head_fields(head: np.ndarray, num_classes: int):
 
 
 def _scale_rows(fields, index, scale, grid_n, input_n, anchors):
-    """The `_head_fields` rows at `index` of head `scale`, with their grid
-    rows, columns, strides and `anchors` widths and heights. A NaN in them
-    raises ValueError; infinite logits are legal: scores and boxes clip them."""
-    gathered = fields[index]
+    """The `_head_fields` rows at `index` of head `scale`, widened to
+    float64, with their grid rows, columns, strides and `anchors` widths
+    and heights. A NaN in them raises ValueError; infinite logits are
+    legal: scores and boxes clip them."""
+    gathered = fields[index].astype(np.float64, copy=False)
     cell, slot = np.divmod(index, 3)
     rows, cols = np.divmod(cell, grid_n)
     bad = np.isnan(gathered)
@@ -290,6 +295,25 @@ def two_stage_filter(detections: list[Detection],
     return [d for d in detections if d.confidence >= confidence_floor]
 
 
+def _logit_bound(drop: float) -> np.float32:
+    """A float32 below which no logit's float64 `sigmoid` reaches `drop`.
+
+    `sigmoid` is off by under 1e-14, so this is the logit of
+    drop - 2**-44, less 1e-12 for the rounding of `log`, rounded down to
+    float32; -inf when drop - 2**-44 is not positive. At `drop` 1 it is
+    30.5, below where `sigmoid` saturates to exactly 1.0 (about 36.7).
+    """
+    low = drop - 2.0 ** -44
+    if low <= 0.0:
+        return np.float32(-np.inf)
+    logit = math.log(low) - math.log1p(-low) - 1e-12
+    bound = np.float32(logit)
+    # compare in float64: NumPy 2 would cast the Python float to float32
+    if float(bound) > logit:
+        bound = np.nextafter(bound, np.float32(-np.inf))
+    return bound
+
+
 def detect_frame(heads, anchors, config: DetectConfig,
                  class_names) -> list[Detection]:
     """Full post-processing for one frame.
@@ -307,9 +331,14 @@ def detect_frame(heads, anchors, config: DetectConfig,
     confidence = objectness * class_score <= objectness in IEEE arithmetic;
     the floor before NMS is exact because a slot below it pops after every
     slot at or above it. The gated slots keep their original order, so NMS
-    breaks confidence ties as the full pipeline does. A NaN objectness, or
-    a NaN in a gated slot's row, raises ValueError; the rows of slots below
-    the gate are not checked.
+    breaks confidence ties as the full pipeline does. The gate first
+    compares the raw objectness logits (float32 when the heads are) with
+    `_logit_bound`, then widens only the survivors and applies the exact
+    sigmoid test to them, which keeps the slots one test over all keeps.
+
+    A NaN objectness, or a NaN in a gated slot's row, raises ValueError;
+    the rows of slots below the gate are not checked. A head whose shape
+    does not fit the class list raises ShapeError naming its scale.
     """
     heads = tuple(heads)
     if len(heads) != 3:
@@ -325,13 +354,21 @@ def detect_frame(heads, anchors, config: DetectConfig,
     if grids != grid_sizes(input_n):
         raise ShapeError(f"head grids {grids} inconsistent with input "
                          f"{input_n} (expected {grid_sizes(input_n)})")
-    scales = [_head_fields(head.data, num_classes) for head in heads]
+    scales = []
+    for scale, head in enumerate(heads):
+        try:
+            scales.append(_head_fields(head.data, num_classes))
+        except ShapeError as exc:
+            raise ShapeError(f"scale {scale}: {exc}") from None
 
-    objectness = sigmoid(np.concatenate([fields[:, 4] for _, fields in scales]))
-    # a NaN objectness is not below the gate either, so the row check
-    # below rejects it
+    logits = np.concatenate([fields[:, 4] for _, fields in scales])
     drop = max(config.nms.objectness_threshold, config.confidence_floor)
-    live = np.flatnonzero(~(objectness < drop))
+    # the raw-logit prefilter, then the exact test on its survivors; a NaN
+    # logit is below neither, so the row check below rejects it
+    live = np.flatnonzero(~(logits < _logit_bound(drop)))
+    objectness = sigmoid(logits[live])
+    exact = ~(objectness < drop)
+    live, objectness = live[exact], objectness[exact]
     parts = []
     start = 0
     for scale, (grid_n, fields) in enumerate(scales):
@@ -344,7 +381,6 @@ def detect_frame(heads, anchors, config: DetectConfig,
     fields, rows, cols, strides, p_w, p_h = (
         np.concatenate(column) for column in zip(*parts))
 
-    objectness = objectness[live]
     class_id, class_score, confidence, corners = _score_arrays(
         objectness, fields, rows, cols, strides, p_w, p_h, input_n)
     keep = _nms_engine(confidence, corners, class_id, drop, config.nms)

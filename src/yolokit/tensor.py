@@ -59,16 +59,20 @@ def _activate(values: np.ndarray, activation: str) -> np.ndarray:
 
 
 class Tensor:
-    """Immutable height x width x channels map of float64 values.
+    """Immutable height x width x channels map of float values.
 
-    Values are stored row-major with the channel index fastest, i.e.
-    flattening yields (row, column, channel) order.
+    float32 data stays float32, so a head read from a file is used as
+    read; anything else is stored as float64. Values are stored row-major
+    with the channel index fastest, i.e. flattening yields (row, column,
+    channel) order.
     """
 
     __slots__ = ("data",)
 
     def __init__(self, data, copy: bool = True):
-        arr = np.asarray(data, dtype=np.float64)
+        arr = np.asarray(data)
+        if arr.dtype != np.float32:
+            arr = arr.astype(np.float64, copy=False)
         if arr.ndim != 3:
             raise ShapeError(f"tensor data must be 3-D (h, w, c), got {arr.ndim}-D")
         if arr.shape[0] < 1 or arr.shape[1] < 1:

@@ -161,6 +161,43 @@ def test_iou_one_to_many_matches_scalar_bitwise():
         assert vec[i] == iou(box, other)
 
 
+def iou_one_to_many_ref(box, x_min, y_min, x_max, y_max):
+    """The formula iou_one_to_many had before it worked in place."""
+    b_x_min, b_y_min, b_x_max, b_y_max = box
+    ix = np.minimum(b_x_max, x_max) - np.maximum(b_x_min, x_min)
+    iy = np.minimum(b_y_max, y_max) - np.maximum(b_y_min, y_min)
+    inter = np.where((ix > 0.0) & (iy > 0.0), ix * iy, 0.0)
+    union = ((b_x_max - b_x_min) * (b_y_max - b_y_min)
+             + (x_max - x_min) * (y_max - y_min) - inter)
+    out = np.zeros_like(inter)
+    np.divide(inter, union, out=out, where=union > 0.0)
+    return out
+
+
+# grid coordinates make touching and degenerate boxes common
+CORNER = st.one_of(st.integers(-2, 6).map(float),
+                   st.floats(-10.0, 10.0),
+                   st.sampled_from([np.nan, np.inf, -np.inf]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda k: st.tuples(
+    st.lists(st.tuples(*[CORNER] * 4), min_size=k, max_size=k),
+    st.lists(st.tuples(*[CORNER] * 4), min_size=1, max_size=12))))
+def test_iou_one_to_many_is_the_old_formula_byte_for_byte(drawn):
+    block, many = (np.array(boxes, dtype=np.float64) for boxes in drawn)
+    columns = tuple(block[:, k:k + 1] for k in range(4))
+    arrays = tuple(many[:, k] for k in range(4))
+    with np.errstate(all="ignore"):
+        got = iou_one_to_many(columns, *arrays)
+        want = iou_one_to_many_ref(columns, *arrays)
+        # one box given as scalars
+        one = iou_one_to_many(BoxCorner(0.0, 0.0, 3.0, 2.0), *arrays)
+        one_want = iou_one_to_many_ref((0.0, 0.0, 3.0, 2.0), *arrays)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    assert one.tobytes() == one_want.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # decode
 

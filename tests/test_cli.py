@@ -36,6 +36,36 @@ def test_head_bytes_round_trip():
     assert cli.write_head_bytes(back) == blob
 
 
+def test_head_bytes_keep_their_float32_payload():
+    blob = cli.write_head_bytes(Tensor(np.arange(24.0).reshape(2, 2, 6)))
+    head = cli.read_head_bytes(blob)
+    assert head.data.dtype == np.float32
+    assert not head.data.flags.writeable
+
+
+@pytest.mark.parametrize("crowded", [False, True])
+def test_detect_frame_formats_float32_heads_as_their_float64_widening(crowded):
+    """Sparse: a few hot slots in unit noise; crowded: every logit drawn
+    from N(-3.5, 2), so hundreds of slots pass the gate."""
+    rng = np.random.default_rng(11)
+    if crowded:
+        arrays = [rng.normal(-3.5, 2.0, (g, g, 3 * (5 + 13)))
+                  for g in (76, 38, 19)]
+    else:
+        arrays = [head.data for head in cli._bench_frame(
+            rng, 13, 608, cli.DEFAULT_ANCHORS)]
+    narrow = [cli.read_head_bytes(cli.write_head_bytes(Tensor(arr)))
+              for arr in arrays]
+    wide = [Tensor(head.data.astype(np.float64)) for head in narrow]
+    names = list(cli.DEFAULT_CLASS_NAMES)
+    config = postprocess.DetectConfig()
+    got = postprocess.format_detections(postprocess.detect_frame(
+        narrow, cli.DEFAULT_ANCHORS, config, names))
+    assert got == postprocess.format_detections(postprocess.detect_frame(
+        wide, cli.DEFAULT_ANCHORS, config, names))
+    assert got.count("\n") >= (50 if crowded else 3)
+
+
 def test_head_bytes_errors():
     blob = cli.write_head_bytes(Tensor(np.zeros((2, 2, 3))))
     with pytest.raises(ValueError):
@@ -225,6 +255,19 @@ def test_detect_names_heads_given_coarse_to_fine(tmp_path, capsys):
     assert capsys.readouterr().err == (
         "yolokit: head grids (2, 4, 8) run coarse to fine; heads go fine to"
         " coarse (expected (8, 4, 2))\n")
+
+
+def test_detect_names_the_scale_of_a_head_with_the_wrong_channels(tmp_path, capsys):
+    (tmp_path / "classes.txt").write_text("\n".join(cli.DEFAULT_CLASS_NAMES) + "\n")
+    head_files = [tmp_path / f"part.h{k}" for k in range(3)]
+    for path, grid, channels in zip(head_files, (4, 2, 1), (54, 255, 54)):
+        path.write_bytes(cli.write_head_bytes(Tensor.zeros(grid, grid, channels)))
+    rc = cli.main(["detect", "--heads", *map(str, head_files),
+                   "--classes", str(tmp_path / "classes.txt")])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        "yolokit: scale 1: head has 255 channels; 13 classes requires "
+        "3*(4+1+13) = 54\n")
 
 
 def test_eval_reports_failures_with_exit_one(tmp_path, capsys):

@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from yolokit import postprocess
 from yolokit.boxes import (Anchor, BoxCorner, BoxNorm, iou, iou_one_to_many,
-                           norm_to_corner)
+                           norm_to_corner, sigmoid)
 from yolokit.postprocess import (Detection, DetectConfig, NmsConfig,
                                  detect_frame, detections_to_json,
                                  extract_predictions, format_detection_line,
@@ -455,6 +455,88 @@ def test_both_paths_reject_a_nan_logit_and_keep_infinite_ones():
     infinite = paths((0, 2, 3, 10, np.inf), (0, 2, 3, 11, np.inf),
                      (0, 2, 3, 14, -np.inf), (0, 2, 3, 15, np.inf))
     assert infinite[0] == infinite[1] == [("c", BoxCorner(0.0, 0.0, 64.0, 64.0))]
+
+
+def _ulps_from(x, steps):
+    """The value `steps` ulps of `x`'s dtype above `x` (below, when
+    negative)."""
+    toward = x.dtype.type(np.inf if steps > 0 else -np.inf)
+    for _ in range(abs(steps)):
+        x = np.nextafter(x, toward)
+    return x
+
+
+@st.composite
+def gated_logits(draw):
+    """A drop threshold and the 63 objectness logits of a 32 px frame, as
+    float32 (a head file) or float64, drawn around the prefilter bound and
+    the exact threshold, from the saturated tails and as ±inf, with up to
+    two NaNs."""
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    drop = draw(st.one_of(
+        st.sampled_from([0.0, 1.0, float(np.nextafter(0.0, 1.0)),
+                         float(np.nextafter(1.0, 0.0)), 1.0 - 2.0 ** -52,
+                         0.25, 0.5]),
+        st.floats(0.0, 1.0)))
+    near = [dtype(postprocess._logit_bound(drop))]
+    if 0.0 < drop < 1.0:
+        near.append(dtype(np.log(drop) - np.log1p(-drop)))
+    width = np.finfo(dtype).bits
+    logit = st.one_of(
+        st.tuples(st.sampled_from(near), st.integers(-4, 4)).map(
+            lambda pair: _ulps_from(*pair)),
+        st.floats(30.0, 38.0, width=width), st.floats(-38.0, -30.0, width=width),
+        st.sampled_from([np.inf, -np.inf]),
+        st.floats(width=width, allow_nan=False))
+    logits = np.array(draw(st.lists(logit, min_size=63, max_size=63)), dtype=dtype)
+    for index in draw(st.lists(st.integers(0, 62), max_size=2)):
+        logits[index] = np.nan
+    return drop, logits
+
+
+@settings(max_examples=300, deadline=None)
+@given(gated_logits())
+def test_the_raw_logit_prefilter_keeps_every_slot_the_sigmoid_test_keeps(drawn):
+    """The slots that reach scoring are exactly those whose float64
+    sigmoid reaches the drop threshold, in slot order, from float32 and
+    float64 heads; a NaN objectness still raises."""
+    drop, logits = drawn
+    grids = (4, 2, 1)
+    arrays = [np.zeros((g, g, 18), dtype=logits.dtype) for g in grids]
+    starts = np.cumsum([0] + [g * g * 3 for g in grids])
+    for arr, start, stop in zip(arrays, starts, starts[1:]):
+        arr.reshape(-1, 6)[:, 4] = logits[start:stop]
+    heads = [Tensor(arr) for arr in arrays]
+    assert heads[0].data.dtype == logits.dtype
+    config = DetectConfig(nms=NmsConfig(objectness_threshold=drop),
+                          confidence_floor=0.0)
+    seen = []
+    score_arrays = postprocess._score_arrays
+
+    def recording_score_arrays(objectness, fields, *rest):
+        seen.append((objectness, fields))
+        return score_arrays(objectness, fields, *rest)
+
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(postprocess, "_score_arrays", recording_score_arrays)
+        if np.isnan(logits).any():
+            first = int(np.flatnonzero(np.isnan(logits))[0])
+            scale = int(np.searchsorted(starts, first, side="right")) - 1
+            cell, slot = divmod(first - int(starts[scale]), 3)
+            row, col = divmod(cell, grids[scale])
+            with pytest.raises(ValueError) as exc:
+                detect_frame(heads, NINE_ANCHORS, config, ["a"])
+            assert str(exc.value) == (f"scale {scale}, cell ({row}, {col}), slot "
+                                      f"{slot}, channel {slot * 6 + 4}: logit is nan")
+            assert seen == []
+            return
+        detect_frame(heads, NINE_ANCHORS, config, ["a"])
+    widened = logits.astype(np.float64)
+    want = widened[~(sigmoid(widened) < drop)]
+    [(objectness, fields)] = seen
+    assert fields.dtype == np.float64
+    assert fields[:, 4].tobytes() == want.tobytes()
+    assert objectness.tobytes() == sigmoid(want).tobytes()
 
 
 def test_detect_frame_validation():

@@ -94,6 +94,20 @@ def test_tensor_is_immutable():
         t.data[0, 0, 0] = 1.0
 
 
+def test_tensor_keeps_float32_and_widens_everything_else():
+    narrow = np.arange(6, dtype=np.float32).reshape(1, 2, 3)
+    kept = Tensor(narrow, copy=False)
+    assert kept.data.dtype == np.float32 and np.shares_memory(kept.data, narrow)
+    assert Tensor(narrow).data.dtype == np.float32
+    for dtype in (np.int32, np.int64, np.float16, np.float64):
+        t = Tensor(np.arange(6, dtype=dtype).reshape(1, 2, 3))
+        assert t.data.dtype == np.float64
+        assert t.data.tolist() == [[[0.0, 1.0, 2.0], [3.0, 4.0, 5.0]]]
+    assert Tensor([[[1, 2]]]).data.dtype == np.float64
+    # float32 in another byte order is widened as well
+    assert Tensor(narrow.astype(">f4")).data.dtype == np.float64
+
+
 def test_tensor_copies_its_input_by_default():
     arr = np.zeros((1, 1, 1))
     t = Tensor(arr)
