@@ -434,7 +434,8 @@ def cmd_bench(args) -> int:
     timings = []
     for heads in frames:
         start = time.perf_counter()
-        postprocess.detect_frame(heads, config.anchors, det_config, names)
+        postprocess.format_detections(postprocess.detect_frame(
+            heads, config.anchors, det_config, names))
         timings.append((time.perf_counter() - start) * 1000.0)
     timings.sort()
     candidates = cfgmod.total_grid_cells(input_n) * 3

@@ -9,22 +9,30 @@ composes all four over the three scales on arrays and produces results
 identical to running the list functions in sequence.
 
 Both paths read a head through one slot table: one row of fields per
-anchor slot, and that slot's grid row, column, stride and anchor size.
-They score through one function and suppress through one engine.
-One drop rule decides what `detect_frame` outputs: a slot's confidence
-(objectness * class_score) must reach max(objectness_threshold,
-confidence_floor). Using the floor before suppression is exact: NMS pops
-in descending confidence, so a candidate below the floor pops after every
-one at or above it and can suppress none of them. `detect_frame` scores,
-decodes and suppresses only the slots whose sigmoid objectness reaches
-that threshold, which is exact because class scores are at most 1. It
-finds them in two steps: a prefilter compares the raw objectness logits,
-as read (float32 from a head file), with a bound that no logit reaching
-the threshold falls below; then the exact sigmoid test runs on the few
-survivors. Only the survivors' logits and the gated slots' rows are
-widened to float64. NMS computes IoU a block of candidates at a time and
-walks each block greedily, so it makes the same keep/suppress decisions
-as popping one candidate at a time.
+anchor slot, numbered through the scales, and one decoder of a slot
+number's scale, grid row, column and anchor. They score through one
+function, decode boxes through one function and suppress through one
+engine. One drop rule decides what `detect_frame` outputs: a slot's
+confidence (objectness * class_score) must reach
+max(objectness_threshold, confidence_floor). Using the floor before
+suppression is exact: NMS pops in descending confidence, so a candidate
+below the floor pops after every one at or above it and can suppress
+none of them. `detect_frame` scores only the slots whose sigmoid
+objectness reaches that threshold, which is exact because class scores
+are at most 1. It finds them in two steps: a prefilter compares the raw
+objectness logits, as read (float32 from a head file), with a bound that
+no logit reaching the threshold falls below; then the exact sigmoid test
+runs on the few survivors. Only the survivors' logits and the gated slots' rows are
+widened to float64, and only the slots whose confidence reaches the
+threshold have their boxes decoded. NMS computes IoU a block of
+candidates at a time and walks only the block rows that suppress a later
+candidate, so it makes the same keep/suppress decisions as popping one
+candidate at a time.
+
+`detect_frame` returns a `Detections`: the kept boxes as columns, checked
+once per frame. It is a sequence of `Detection` that builds the objects
+only when a caller indexes, iterates or compares it, and
+`format_detections` writes its text straight from the columns.
 
 Both paths reject a NaN objectness logit, and a NaN in any row they
 score, with one ValueError that names the scale, cell, slot and channel.
@@ -33,8 +41,10 @@ Infinite logits are legal.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -84,6 +94,66 @@ class Detection:
             raise ValueError("scores must lie in [0, 1]")
 
 
+class Detections(Sequence):
+    """Detections as columns: class ids, objectness, class scores and
+    confidences of n boxes, their (n, 4) corners, and the class names the
+    ids index.
+
+    A read-only sequence of Detection. A Detection is built only when a
+    row is indexed or iterated; a slice is a Detections. It equals a list
+    or a Detections holding equal Detections, in either operand order.
+    The rows are checked at once by the rules of Detection and BoxCorner;
+    the first failing row raises its message.
+    """
+
+    __slots__ = ("class_id", "objectness", "class_score", "confidence",
+                 "corners", "class_names")
+
+    def __init__(self, class_id, objectness, class_score, confidence,
+                 corners, class_names):
+        self.class_id, self.objectness, self.class_score = (
+            class_id, objectness, class_score)
+        self.confidence, self.corners, self.class_names = (
+            confidence, corners, class_names)
+        # scores and box sizes in one array: the rows pass when its minimum
+        # is at least 0 and the scores' maximum at most 1 (NaN fails both)
+        checked = np.array((objectness, class_score, confidence,
+                            corners[:, 2] - corners[:, 0],
+                            corners[:, 3] - corners[:, 1]))
+        if not (checked.min(initial=0.0) >= 0.0
+                and checked[:3].max(initial=1.0) <= 1.0):
+            for _ in self:  # the first failing row raises its message
+                pass
+
+    def __len__(self) -> int:
+        return len(self.class_id)
+
+    def __iter__(self):
+        names = self.class_names
+        for cid, obj, score, conf, box in zip(*(column.tolist() for column in (
+                self.class_id, self.objectness, self.class_score,
+                self.confidence, self.corners))):
+            yield Detection(BoxCorner(*box), cid, names[cid], obj, score, conf)
+
+    def __getitem__(self, key):
+        if isinstance(key, slice):
+            return Detections(self.class_id[key], self.objectness[key],
+                              self.class_score[key], self.confidence[key],
+                              self.corners[key], self.class_names)
+        row = range(len(self))[key]
+        return next(iter(self[row:row + 1]))
+
+    def __eq__(self, other):
+        if isinstance(other, Detections):
+            other = list(other)
+        elif not isinstance(other, list):
+            return NotImplemented
+        return list(self) == other
+
+    def __repr__(self) -> str:
+        return f"Detections({list(self)!r})"
+
+
 @dataclass(frozen=True, slots=True)
 class NmsConfig:
     """Suppression thresholds.
@@ -131,21 +201,58 @@ def _head_fields(head: np.ndarray, num_classes: int):
     return height, head.reshape(height * width * 3, expect // 3)
 
 
-def _scale_rows(fields, index, scale, grid_n, input_n, anchors):
-    """The `_head_fields` rows at `index` of head `scale`, widened to
-    float64, with their grid rows, columns, strides and `anchors` widths
-    and heights. A NaN in them raises ValueError; infinite logits are
-    legal: scores and boxes clip them."""
-    gathered = fields[index].astype(np.float64, copy=False)
-    cell, slot = np.divmod(index, 3)
-    rows, cols = np.divmod(cell, grid_n)
+def _slot_cells(index, grids):
+    """Scale, grid row, column and anchor slot of each slot number in
+    `index`. Slots are numbered through heads of `grids` cells a side,
+    one head after another, cell-major and slot-minor within each head,
+    so that scale 0 is the first of `grids`."""
+    grids = np.asarray(grids)
+    sizes = 3 * grids * grids
+    starts = np.cumsum(sizes) - sizes
+    scale = np.searchsorted(starts, index, side="right") - 1
+    cell, slot = np.divmod(index - starts[scale], 3)
+    rows, cols = np.divmod(cell, grids[scale])
+    return scale, rows, cols, slot
+
+
+@functools.lru_cache(maxsize=4)
+def _slot_geometry(grids: tuple, priors: tuple) -> np.ndarray:
+    """Grid row, column, stride and prior width and height of every slot
+    of heads with `grids` cells a side (fine to coarse) and `priors`
+    ((p_w, p_h) pairs, three per head), one read-only row per slot as
+    `_slot_cells` numbers them. Cached: a frame takes its slots' rows
+    with one gather."""
+    scale, rows, cols, slot = _slot_cells(
+        np.arange(3 * sum(g * g for g in grids)), grids)
+    strides = grids[-1] * 32 / np.asarray(grids)[scale]
+    table = np.column_stack(
+        (rows, cols, strides, np.array(priors)[3 * scale + slot]))
+    table.flags.writeable = False
+    return table
+
+
+def _scale_rows(scales, index, first_scale=0):
+    """The `_head_fields` rows at the sorted slot numbers `index` (as
+    `_slot_cells` numbers them) of `scales`, (grid_n, fields) pairs,
+    widened to float64. A NaN in them raises ValueError naming its scale
+    (`first_scale` for the first pair), cell, slot and channel; infinite
+    logits are legal: scores and boxes clip them."""
+    starts = [0]
+    for _, fields in scales:
+        starts.append(starts[-1] + fields.shape[0])
+    bounds = np.searchsorted(index, starts).tolist()
+    gathered = np.concatenate(
+        [fields[index[low:high] - start] for (_, fields), start, low, high
+         in zip(scales, starts, bounds, bounds[1:])], dtype=np.float64)
     bad = np.isnan(gathered)
     if bad.any():
         i, field = np.argwhere(bad)[0]
-        raise ValueError(f"scale {scale}, cell ({rows[i]}, {cols[i]}), slot {slot[i]}, "
-                         f"channel {slot[i] * fields.shape[1] + field}: logit is nan")
-    priors = np.array([(a.p_w, a.p_h) for a in anchors])[slot]
-    return gathered, rows, cols, np.full(index.size, input_n / grid_n), *priors.T
+        scale, row, col, slot = (int(v[0]) for v in _slot_cells(
+            index[i:i + 1], [grid_n for grid_n, _ in scales]))
+        raise ValueError(f"scale {first_scale + scale}, cell ({row}, {col}), "
+                         f"slot {slot}, channel {slot * gathered.shape[1] + field}: "
+                         f"logit is nan")
+    return gathered
 
 
 def extract_predictions(head: Tensor, anchors, num_classes: int,
@@ -160,8 +267,9 @@ def extract_predictions(head: Tensor, anchors, num_classes: int,
     if len(anchors) != 3:
         raise ShapeError(f"need exactly 3 anchors per scale, got {len(anchors)}")
     grid_n, fields = _head_fields(head.data, num_classes)
-    fields, rows, cols, *_ = _scale_rows(
-        fields, np.arange(fields.shape[0]), scale_index, grid_n, input_n, anchors)
+    index = np.arange(fields.shape[0])
+    fields = _scale_rows([(grid_n, fields)], index, scale_index)
+    _, rows, cols, _ = _slot_cells(index, [grid_n])
     return [RawPrediction(
         t_x=vec[0], t_y=vec[1], t_w=vec[2], t_h=vec[3],
         objectness_logit=vec[4], class_logits=tuple(vec[5:]),
@@ -171,35 +279,27 @@ def extract_predictions(head: Tensor, anchors, num_classes: int,
         fields.tolist(), rows.tolist(), cols.tolist()))]
 
 
-def _score_arrays(objectness, fields, rows, cols, strides, p_w, p_h,
-                  input_n):
-    """Vectorized scoring and decoding of prediction rows.
+def _score_arrays(objectness, fields):
+    """Vectorized scoring of prediction rows.
 
     `fields` holds one [t_x, t_y, t_w, t_h, objectness, classes...] row
     per prediction and `objectness` its sigmoid. Returns (class_id,
-    class_score, confidence, corners[n,4]). Ties in the class argmax
-    break toward the lowest class index.
+    class_score, confidence). Ties in the class argmax break toward the
+    lowest class index.
     """
     class_scores = sigmoid(fields[:, 5:])
     class_id = np.argmax(class_scores, axis=1)
     class_score = class_scores[np.arange(class_scores.shape[0]), class_id]
-    confidence = objectness * class_score
+    return class_id, class_score, objectness * class_score
 
+
+def _decode_rows(fields, rows, cols, strides, p_w, p_h, input_n):
+    """Corners (n, 4) of the boxes of prediction rows `fields` at grid
+    `rows` and `cols`, with their strides and prior widths and heights."""
     b_x = (sigmoid(fields[:, 0]) + cols) * strides
     b_y = (sigmoid(fields[:, 1]) + rows) * strides
-    corners = np.stack(decode_corners(b_x, b_y, fields[:, 2], fields[:, 3],
-                                      p_w, p_h, input_n), axis=1)
-    return class_id, class_score, confidence, corners
-
-
-def _detections(rows, class_names, class_id, objectness, class_score,
-                confidence, corners) -> list[Detection]:
-    """The scored arrays' `rows` (an index list or a slice), in order, as
-    Detections named from `class_names`."""
-    columns = (column[rows].tolist() for column in
-               (class_id, objectness, class_score, confidence, corners))
-    return [Detection(BoxCorner(*box), cid, class_names[cid], obj, score, conf)
-            for cid, obj, score, conf, box in zip(*columns)]
+    return np.stack(decode_corners(b_x, b_y, fields[:, 2], fields[:, 3],
+                                   p_w, p_h, input_n), axis=1)
 
 
 def score_predictions(raws: list[RawPrediction],
@@ -218,10 +318,10 @@ def score_predictions(raws: list[RawPrediction],
         for r in raws], dtype=np.float64).T
 
     objectness = sigmoid(fields[:, 4])
-    class_id, class_score, confidence, corners = _score_arrays(
-        objectness, fields, rows, cols, strides, p_w, p_h, input_n)
-    return _detections(slice(None), class_names, class_id, objectness,
-                       class_score, confidence, corners)
+    class_id, class_score, confidence = _score_arrays(objectness, fields)
+    corners = _decode_rows(fields, rows, cols, strides, p_w, p_h, input_n)
+    return list(Detections(class_id, objectness, class_score, confidence,
+                           corners, class_names))
 
 
 # Elements in one block's IoU matrix in `_nms_engine`: a block takes as
@@ -232,7 +332,7 @@ _NMS_BLOCK_ELEMENTS = 1 << 15
 
 
 def _nms_engine(confidence: np.ndarray, corners: np.ndarray,
-                class_id: np.ndarray, drop: float, config: NmsConfig) -> list[int]:
+                class_id: np.ndarray, drop: float, config: NmsConfig) -> np.ndarray:
     """Greedy suppression over parallel arrays; returns kept indices in
     pop order (descending confidence, ties to the lower original index)
     among the candidates whose confidence reaches `drop`.
@@ -240,33 +340,36 @@ def _nms_engine(confidence: np.ndarray, corners: np.ndarray,
     Works on blocks of consecutive pending candidates in pop order: one
     broadcast gives each block row's IoU with every pending candidate,
     then the rows are walked greedily. A row still pending when reached
-    is kept and removes the candidates it suppresses, so every decision
-    is the one the one-pop-at-a-time loop makes.
+    is kept and removes the later candidates it suppresses, so every
+    decision is the one the one-pop-at-a-time loop makes. The walk visits
+    only the rows that suppress a later candidate: any other row is kept
+    exactly when it is pending, and changes no later decision.
     """
     candidates = np.flatnonzero(confidence >= drop)
     # stable sort on negated confidence = pop-max with lowest-index ties
     order = candidates[np.argsort(-confidence[candidates], kind="stable")]
-    x_min, y_min, x_max, y_max = (corners[order, k] for k in range(4))
+    boxes = corners[order].T
     cls = class_id[order]
-    result: list[int] = []
+    kept = [order[:0]]
     pending = np.arange(order.size)
     while pending.size:
         block = pending[:max(1, _NMS_BLOCK_ELEMENTS // pending.size)]
-        column = block[:, None]
-        ious = iou_one_to_many(
-            (x_min[column], y_min[column], x_max[column], y_max[column]),
-            x_min[pending], y_min[pending], x_max[pending], y_max[pending])
-        suppress = ious >= config.iou_threshold
+        # (x_min, y_min, x_max, y_max) rows of the pending candidates
+        edges = boxes[:, pending]
+        suppress = iou_one_to_many(tuple(edges[:, :block.size, None]),
+                                   *edges) >= config.iou_threshold
         if config.per_class:
-            suppress &= cls[column] == cls[pending]
+            pending_cls = cls[pending]
+            suppress &= pending_cls[:block.size, None] == pending_cls
+        # only the suppressions of later candidates can change a decision
+        later = suppress > np.tri(*suppress.shape, dtype=bool)
         removed = np.zeros(pending.size, dtype=bool)
-        for r in range(block.size):
+        for r in np.flatnonzero(later.any(axis=1)).tolist():
             if not removed[r]:
-                result.append(int(order[block[r]]))
-                # marks on rows before r change nothing: they are decided
-                removed |= suppress[r]
+                removed |= later[r]
+        kept.append(order[block[~removed[:block.size]]])
         pending = pending[block.size:][~removed[block.size:]]
-    return result
+    return np.concatenate(kept)
 
 
 def nms(detections: list[Detection], config: NmsConfig) -> list[Detection]:
@@ -285,7 +388,7 @@ def nms(detections: list[Detection], config: NmsConfig) -> list[Detection]:
     class_id = np.array([d.class_id for d in detections])
     keep = _nms_engine(confidence, corners, class_id,
                        config.objectness_threshold, config)
-    return [detections[i] for i in keep]
+    return [detections[i] for i in keep.tolist()]
 
 
 def two_stage_filter(detections: list[Detection],
@@ -315,19 +418,21 @@ def _logit_bound(drop: float) -> np.float32:
 
 
 def detect_frame(heads, anchors, config: DetectConfig,
-                 class_names) -> list[Detection]:
+                 class_names) -> Detections:
     """Full post-processing for one frame.
 
     `heads` are the three scale tensors ordered fine to coarse (strides
     8, 16, 32 of one input size); `anchors` are nine priors grouped three
     per scale in the same order. Equivalent to extract -> score -> nms ->
-    two_stage_filter, with array internals so a full frame stays cheap.
+    two_stage_filter, with array internals so a full frame stays cheap:
+    the result is a `Detections` of the kept boxes in pop order, equal to
+    the list those functions return.
 
     One drop threshold, max(`config.nms.objectness_threshold`,
     `config.confidence_floor`), decides what is output: only slots whose
-    sigmoid objectness reaches it are scored and decoded, and only those
-    whose confidence reaches it enter NMS, which outputs every slot it
-    keeps. The gate is exact because class scores are at most 1, so
+    sigmoid objectness reaches it are scored, and only those whose
+    confidence reaches it are decoded and enter NMS, which outputs every
+    slot it keeps. The gate is exact because class scores are at most 1, so
     confidence = objectness * class_score <= objectness in IEEE arithmetic;
     the floor before NMS is exact because a slot below it pops after every
     slot at or above it. The gated slots keep their original order, so NMS
@@ -369,23 +474,17 @@ def detect_frame(heads, anchors, config: DetectConfig,
     objectness = sigmoid(logits[live])
     exact = ~(objectness < drop)
     live, objectness = live[exact], objectness[exact]
-    parts = []
-    start = 0
-    for scale, (grid_n, fields) in enumerate(scales):
-        stop = start + fields.shape[0]
-        index = live[np.searchsorted(live, start):
-                     np.searchsorted(live, stop)] - start
-        parts.append(_scale_rows(fields, index, scale, grid_n, input_n,
-                                 anchors[scale * 3:scale * 3 + 3]))
-        start = stop
-    fields, rows, cols, strides, p_w, p_h = (
-        np.concatenate(column) for column in zip(*parts))
+    fields = _scale_rows(scales, live)
+    class_id, class_score, confidence = _score_arrays(objectness, fields)
 
-    class_id, class_score, confidence, corners = _score_arrays(
-        objectness, fields, rows, cols, strides, p_w, p_h, input_n)
-    keep = _nms_engine(confidence, corners, class_id, drop, config.nms)
-    return _detections(keep, class_names, class_id, objectness, class_score,
-                       confidence, corners)
+    # only the rows whose confidence reaches the drop threshold need boxes
+    hit = np.flatnonzero(confidence >= drop)
+    geometry = _slot_geometry(grids, tuple((a.p_w, a.p_h) for a in anchors))
+    corners = _decode_rows(fields[hit], *geometry[live[hit]].T, input_n)
+    kept = _nms_engine(confidence[hit], corners, class_id[hit], drop, config.nms)
+    keep = hit[kept]
+    return Detections(class_id[keep], objectness[keep], class_score[keep],
+                      confidence[keep], corners[kept], class_names)
 
 
 # logit magnitude for hard 0/1 targets: sigmoid(12) differs from 1 by 6e-6,
@@ -448,9 +547,20 @@ def format_detection_line(det: Detection) -> str:
             f"{b.x_min:.6f} {b.y_min:.6f} {b.x_max:.6f} {b.y_max:.6f}")
 
 
-def format_detections(dets: list[Detection]) -> str:
-    """All detection lines, LF-terminated."""
-    return "".join(format_detection_line(d) + "\n" for d in dets)
+def format_detections(dets) -> str:
+    """All detection lines, LF-terminated, each as `format_detection_line`
+    writes it. A Detections is written from its columns, a list of
+    Detection from its objects, both through one format."""
+    if isinstance(dets, Detections):
+        table = np.empty((len(dets), 6), dtype=object)
+        table[:, 0] = np.asarray(dets.class_names, dtype=object)[dets.class_id]
+        table[:, 1] = dets.confidence
+        table[:, 2:] = dets.corners
+    else:
+        table = np.array([(d.class_name, d.confidence, d.box.x_min, d.box.y_min,
+                           d.box.x_max, d.box.y_max) for d in dets], dtype=object)
+    return ("%s %.6f %.6f %.6f %.6f %.6f\n" * len(table)
+            % tuple(table.ravel().tolist()))
 
 
 def parse_detection_lines(text: str, class_names) -> list[Detection]:
@@ -475,7 +585,7 @@ def parse_detection_lines(text: str, class_names) -> list[Detection]:
     return read_records(text, 6, detection)
 
 
-def detections_to_json(dets: list[Detection]) -> str:
+def detections_to_json(dets) -> str:
     """Structured JSON array of detections."""
     payload = [{
         "class_id": d.class_id,

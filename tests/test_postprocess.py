@@ -228,6 +228,48 @@ def test_nms_blocks_match_brute_force(instance, block_elements):
     assert [dets[i] for i in want] == kept
 
 
+@st.composite
+def dense_nms_instances(draw):
+    """Up to 40 detections on a row of seven w x h boxes, each shifted d
+    px from the last: neighbours overlap, so many rows suppress later ones
+    and chains occur (A suppresses B, B would suppress C, A does not).
+    Boxes repeat (duplicates), some have no width (zero area) and
+    confidences are tenths (ties)."""
+    w, h = draw(st.integers(4, 10)), draw(st.integers(4, 10))
+    d = draw(st.integers(1, 3))
+    dets = []
+    for _ in range(draw(st.integers(0, 40))):
+        x, y = d * draw(st.integers(0, 6)), draw(st.integers(0, 1))
+        width = draw(st.sampled_from([w, w, w, 0]))
+        dets.append(make_detection(
+            (x, y, x + width, y + h), draw(st.integers(0, 10)) / 10,
+            class_id=draw(st.integers(0, 1)), class_score=1.0))
+    config = NmsConfig(objectness_threshold=0.0,
+                       iou_threshold=draw(st.sampled_from([0.0, 0.45, 1.0])),
+                       per_class=draw(st.booleans()))
+    return dets, config
+
+
+@settings(max_examples=300, deadline=None)
+@given(dense_nms_instances(), st.sampled_from([64, 1 << 15]))
+def test_nms_walk_of_the_rows_that_suppress_matches_brute_force(
+        instance, block_elements):
+    """Walking only the block rows that suppress a later candidate keeps
+    what the one-pop-at-a-time oracle keeps, with one-row blocks (64
+    elements, over 32 pending) and with one block for all rows."""
+    dets, config = instance
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(postprocess, "_NMS_BLOCK_ELEMENTS", block_elements)
+        kept = nms(dets, config)
+    want = nms_ref(
+        [(d.box.x_min, d.box.y_min, d.box.x_max, d.box.y_max) for d in dets],
+        [d.confidence for d in dets], [d.class_id for d in dets],
+        [d.objectness for d in dets],
+        config.objectness_threshold, config.iou_threshold,
+        config.per_class)
+    assert [dets[i] for i in want] == kept
+
+
 def test_nms_empty():
     assert nms([], NmsConfig()) == []
 
@@ -757,3 +799,88 @@ def test_detections_to_json():
     assert payload[0]["class_name"] == "washer"
     assert payload[0]["box"]["x_max"] == 5.0
     assert payload[0]["confidence"] == 0.625
+
+
+# ---------------------------------------------------------------------------
+# column result
+
+def test_detect_frame_result_is_a_sequence_of_its_detections(gated_frame):
+    heads, scored = gated_frame
+    config = DetectConfig(confidence_floor=0.25)
+    fast = detect_frame(heads, NINE_ANCHORS, config, ["a", "b", "c", "d"])
+    listed = two_stage_filter(nms(scored, config.nms), config.confidence_floor)
+    assert isinstance(fast, postprocess.Detections) and len(listed) > 3
+    assert fast == listed and listed == fast
+    assert not (fast != listed) and fast != listed[:-1] and listed[1:] != fast
+    assert len(fast) == len(listed)
+    assert list(fast) == [d for d in fast] == listed
+    assert (fast[0], fast[2], fast[-1]) == (listed[0], listed[2], listed[-1])
+    with pytest.raises(IndexError):
+        fast[len(listed)]
+    for part in (slice(1, 3), slice(None, None, -2), slice(5, 2)):
+        assert isinstance(fast[part], postprocess.Detections)
+        assert fast[part] == listed[part] and listed[part] == fast[part]
+    assert fast[:] == fast and fast[1:] != fast
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("crowded", [False, True])
+def test_column_result_formats_as_its_detections(crowded, dtype):
+    """Text and JSON written from the columns equal, byte for byte, what
+    the Detections they hold format to, on 608 px frames: sparse (a few
+    hot slots in unit noise) and crowded (every logit from N(-3.5, 2))."""
+    from yolokit import cli
+
+    rng = np.random.default_rng(5)
+    if crowded:
+        arrays = [rng.normal(-3.5, 2.0, (g, g, 3 * (5 + 13)))
+                  for g in (76, 38, 19)]
+    else:
+        arrays = [head.data for head in cli._bench_frame(
+            rng, 13, 608, cli.DEFAULT_ANCHORS)]
+    heads = [Tensor(arr.astype(dtype)) for arr in arrays]
+    assert heads[0].data.dtype == dtype
+    got = detect_frame(heads, cli.DEFAULT_ANCHORS, DetectConfig(),
+                       list(cli.DEFAULT_CLASS_NAMES))
+    assert len(got) >= (50 if crowded else 3)
+    text = format_detections(got)
+    assert text == format_detections(list(got))
+    assert text == "".join(format_detection_line(d) + "\n" for d in got)
+    assert detections_to_json(got) == detections_to_json(list(got))
+
+
+def test_column_result_rows_fail_with_the_detection_messages():
+    columns = dict(class_id=np.array([0, 1, 0]),
+                   objectness=np.array([0.9, 1.0, 0.0]),
+                   class_score=np.array([1.0, 0.5, 0.0]),
+                   confidence=np.array([0.9, 0.5, 0.0]),
+                   corners=np.array([[0.0, 0.0, 4.0, 4.0], [1.0, 1.0, 1.0, 1.0],
+                                     [2.0, 3.0, 5.0, 3.0]]))
+    names = ["a", "b"]
+    dets = postprocess.Detections(**columns, class_names=names)
+    assert [d.class_name for d in dets] == ["a", "b", "a"]
+    assert postprocess.Detections(**{k: v[:0] for k, v in columns.items()},
+                                  class_names=names) == []
+
+    def message(**changes):
+        broken = {k: v.copy() for k, v in columns.items()}
+        for key, (index, value) in changes.items():
+            broken[key][index] = value
+        with pytest.raises(ValueError) as exc:
+            postprocess.Detections(**broken, class_names=names)
+        return str(exc.value)
+
+    for key in ("objectness", "class_score", "confidence"):
+        for value in (-0.25, 1.5, np.nan):
+            assert message(**{key: (1, value)}) == "scores must lie in [0, 1]"
+    assert message(corners=((1, 0), 2.0)) == \
+        "inverted corners: (2.0, 1.0, 1.0, 1.0)"
+    assert message(corners=((2, 3), 2.5)) == \
+        "inverted corners: (2.0, 3.0, 5.0, 2.5)"
+    assert message(corners=((0, 1), np.nan)) == \
+        "inverted corners: (0.0, nan, 4.0, 4.0)"
+    # the first failing row raises, with its own rule's message
+    assert message(corners=((0, 2), -1.0), objectness=(1, 2.0)) == \
+        "inverted corners: (0.0, 0.0, -1.0, 4.0)"
+    assert message(corners=((2, 2), 1.0), objectness=(1, 2.0)) == \
+        "scores must lie in [0, 1]"
