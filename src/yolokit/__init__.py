@@ -3,7 +3,8 @@
 Modules:
   tensor       dense feature maps and forward-pass building blocks
   cfg          darknet cfg parsing, shape propagation, network census
-  boxes        box geometry, IoU, anchor decode, grid responsibility
+  boxes        box geometry, IoU, anchor decode, grid and head arithmetic
+  records      class registry, record-line reader, scenario names
   postprocess  prediction extraction, scoring, NMS, confidence gating
   data         image/label I/O, augmentation, synthetic scenes
   metrics      greedy matching, average precision, mAP 0.50:0.95

@@ -1,5 +1,7 @@
-"""Axis-aligned box geometry: representations, conversions, IoU and the
-anchor-based decode that turns raw grid-cell offsets into pixel boxes.
+"""Axis-aligned box geometry: representations, conversions, IoU, the
+anchor-based decode that turns raw grid-cell offsets into pixel boxes,
+and the detection grid arithmetic (grid sizes, head channels, the cell
+responsible for a box).
 
 Two box forms are used throughout. BoxCorner is pixel corners with the
 origin at the top-left and y growing downward. BoxNorm is the normalized
@@ -229,3 +231,23 @@ def responsible_cell(gt: BoxNorm, grid_n: int) -> tuple[int, int]:
     row = min(int(gt.cy * grid_n), grid_n - 1)
     col = min(int(gt.cx * grid_n), grid_n - 1)
     return row, col
+
+
+def head_channels(num_classes: int) -> int:
+    """Channels of one detection head: 3 anchor slots x (4 box terms +
+    1 objectness + num_classes)."""
+    if num_classes < 1:
+        raise ValueError(f"need at least one class, got {num_classes}")
+    return 3 * (4 + 1 + num_classes)
+
+
+def grid_sizes(input_n: int) -> tuple[int, int, int]:
+    """The three detection grid edge lengths (strides 8, 16, 32)."""
+    if input_n <= 0 or input_n % 32 != 0:
+        raise ValueError(f"input {input_n} is not a positive multiple of 32")
+    return input_n // 8, input_n // 16, input_n // 32
+
+
+def total_grid_cells(input_n: int) -> int:
+    """Total grid cells across the three scales: (N/8)^2+(N/16)^2+(N/32)^2."""
+    return sum(n * n for n in grid_sizes(input_n))

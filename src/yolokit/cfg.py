@@ -13,6 +13,9 @@ import re
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
+# head and grid arithmetic lives with the grid geometry in boxes; public here too
+from .boxes import grid_sizes, head_channels, total_grid_cells
+
 _HEADER_RE = re.compile(r"^\[([^\[\]]+)\]$")
 
 
@@ -321,23 +324,3 @@ def census(graph: NetGraph) -> NetCensus:
         hidden_neurons=hidden,
         per_layer=tuple(rows),
     )
-
-
-def head_channels(num_classes: int) -> int:
-    """Channels of one detection head: 3 anchor slots x (4 box terms +
-    1 objectness + num_classes)."""
-    if num_classes < 1:
-        raise ValueError(f"need at least one class, got {num_classes}")
-    return 3 * (4 + 1 + num_classes)
-
-
-def grid_sizes(input_n: int) -> tuple[int, int, int]:
-    """The three detection grid edge lengths (strides 8, 16, 32)."""
-    if input_n <= 0 or input_n % 32 != 0:
-        raise ValueError(f"input {input_n} is not a positive multiple of 32")
-    return input_n // 8, input_n // 16, input_n // 32
-
-
-def total_grid_cells(input_n: int) -> int:
-    """Total grid cells across the three scales: (N/8)^2+(N/16)^2+(N/32)^2."""
-    return sum(n * n for n in grid_sizes(input_n))

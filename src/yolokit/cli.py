@@ -14,6 +14,10 @@ head tensors.
 
 Exit codes: 0 success, 1 evaluation found failures, 2 usage/parse error,
 3 I/O error. Data goes to stdout or files; diagnostics go to stderr.
+
+Each command imports the modules it runs when it runs: a `detect`
+process loads `postprocess`, `boxes`, `tensor` and `records`, and never
+`cfg`, `data` or `metrics`.
 """
 
 from __future__ import annotations
@@ -28,10 +32,10 @@ from pathlib import Path
 
 import numpy as np
 
-from . import cfg as cfgmod
-from . import data, metrics, postprocess
-from .boxes import Anchor, BoxNorm, corner_to_norm, norm_to_corner
+from . import postprocess
+from .boxes import Anchor, BoxNorm, corner_to_norm, norm_to_corner, total_grid_cells
 from .postprocess import DEFAULT_ANCHORS
+from .records import SCENARIOS, ClassRegistry
 from .tensor import ShapeError, Tensor
 
 HEAD_MAGIC = b"YF01"
@@ -41,7 +45,7 @@ DEFAULT_CLASS_NAMES = (
     "clip", "rivet", "spacer", "flange", "dowel", "shim",
 )
 
-SCENARIO_BY_NUMBER = dict(enumerate(metrics.SCENARIOS, start=1))
+SCENARIO_BY_NUMBER = dict(enumerate(SCENARIOS, start=1))
 
 _DETECT_DEFAULTS = postprocess.DetectConfig()  # RunConfig's threshold defaults
 
@@ -88,6 +92,8 @@ class RunConfig:
     def __post_init__(self):
         postprocess.nine_anchors(self.anchors)
         self.detect_config()  # NmsConfig and DetectConfig check the thresholds
+        if self.seed < 0:
+            raise ValueError(f"seed must be at least 0, got {self.seed}")
 
     def detect_config(self) -> postprocess.DetectConfig:
         nms = postprocess.NmsConfig(self.objectness_threshold, self.iou_threshold,
@@ -159,14 +165,15 @@ def _load_config(args) -> RunConfig:
 # ---------------------------------------------------------------------------
 # I/O helpers
 
-def _load(path: str, parser, *args):
-    """`parser(content, *args)` of the file at `path`: bytes for PPM images
-    and head blobs, UTF-8 text otherwise. A ValueError from decoding or
-    parsing is raised again with the path in front."""
+def _load(path: str, parser, *args, binary: bool = False):
+    """`parser(content, *args)` of the file at `path`: its bytes when
+    `binary` (PPM images and head blobs), its UTF-8 text otherwise. A
+    ValueError from decoding or parsing is raised again with the path in
+    front."""
     with open(path, "rb") as fh:
         content = fh.read()
     try:
-        if parser not in (data.read_ppm, read_head_bytes):
+        if not binary:
             content = content.decode("utf-8")
         return parser(content, *args)
     except ValueError as exc:
@@ -182,8 +189,8 @@ def _load_dataset_dir(directory: str):
     """A dataset directory's classes.txt and an iterator over its
     <stem>.ppm/<stem>.txt pairs in name order, which reads one pair per
     step (a missing label file means an unlabeled image)."""
-    registry = _load(os.path.join(directory, "classes.txt"),
-                     data.ClassRegistry.from_text)
+    from . import data
+    registry = _load(os.path.join(directory, "classes.txt"), ClassRegistry.from_text)
     names = sorted(name for name in os.listdir(directory) if name.endswith(".ppm"))
 
     def samples():
@@ -191,7 +198,7 @@ def _load_dataset_dir(directory: str):
             label_path = os.path.join(directory, os.path.splitext(name)[0] + ".txt")
             # no local keeps an image alive while the next one is read
             yield data.LabeledImage(
-                _load(os.path.join(directory, name), data.read_ppm),
+                _load(os.path.join(directory, name), data.read_ppm, binary=True),
                 (_load(label_path, data.read_yolo_labels, registry)
                  if os.path.exists(label_path) else ()),
                 os.path.join(directory, name))
@@ -203,6 +210,7 @@ def _write_dataset_dir(directory: str, registry, samples) -> list:
     """Write classes.txt plus <stem>.ppm/<stem>.txt for each LabeledImage
     of `samples`, as `_load_dataset_dir` reads them. Returns the labels
     only, so that a long stream of samples never sits in memory."""
+    from . import data
     os.makedirs(directory, exist_ok=True)
     _write_text(os.path.join(directory, "classes.txt"), registry.to_text())
     written = []
@@ -228,6 +236,7 @@ def _emit(text: str, out_path: str | None) -> None:
 def _net_census(text: str, input_n: int | None):
     """Shape-resolved graph and census of cfg `text`, its input size
     replaced by `input_n` when that is given."""
+    from . import cfg as cfgmod
     graph = cfgmod.parse_cfg(text)
     if input_n is not None:
         net = graph.layers[0]
@@ -260,6 +269,7 @@ def cmd_netinfo(args) -> int:
 
 
 def cmd_augment(args) -> int:
+    from . import data
     registry, samples = _load_dataset_dir(args.dataset)
     rotations = args.rotations.split(",") if args.rotations else []
     tokens = args.flips.lower().split(",") if args.flips else []
@@ -284,14 +294,15 @@ def cmd_augment(args) -> int:
 def cmd_labels_convert(args) -> int:
     if args.src == args.dst:
         raise ValueError(f"--from and --to are both {args.src}; nothing to convert")
-    registry = _load(args.classes, data.ClassRegistry.from_text)
+    from . import data
+    registry = _load(args.classes, ClassRegistry.from_text)
     os.makedirs(args.out, exist_ok=True)
     converted = 0
     for name in sorted(os.listdir(args.dir)):
         if not name.endswith(".txt") or name == "classes.txt":
             continue
         stem = os.path.splitext(name)[0]
-        image = _load(os.path.join(args.dir, stem + ".ppm"), data.read_ppm)
+        image = _load(os.path.join(args.dir, stem + ".ppm"), data.read_ppm, binary=True)
         w, h = image.width, image.height
         label_path = os.path.join(args.dir, name)
         if args.src == "labelimg":
@@ -310,6 +321,7 @@ def cmd_labels_convert(args) -> int:
 
 
 def cmd_labels_csv(args) -> int:
+    from . import data
     registry, samples = _load_dataset_dir(args.dir)
     _emit(data.aggregate_csv(samples, registry), args.out)
     return 0
@@ -342,8 +354,8 @@ def cmd_detect(args) -> int:
     if args.dump_config:
         sys.stdout.write(format_run_config(config))
         return 0
-    registry = _load(args.classes, data.ClassRegistry.from_text)
-    heads = [_load(p, read_head_bytes) for p in args.heads]
+    registry = _load(args.classes, ClassRegistry.from_text)
+    heads = [_load(p, read_head_bytes, binary=True) for p in args.heads]
     dets = postprocess.detect_frame(heads, config.anchors,
                                     config.detect_config(), registry.names)
     if args.json:
@@ -354,6 +366,7 @@ def cmd_detect(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    from . import metrics
     registry, truth = _load_dataset_dir(args.truth)
     paired = set()
 
@@ -385,8 +398,9 @@ def cmd_eval(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    registry = (_load(args.classes, data.ClassRegistry.from_text) if args.classes
-                else data.ClassRegistry(DEFAULT_CLASS_NAMES))
+    from . import data
+    registry = (_load(args.classes, ClassRegistry.from_text) if args.classes
+                else ClassRegistry(DEFAULT_CLASS_NAMES))
     scenario = SCENARIO_BY_NUMBER[args.scenario]
     n = len(registry)
     # scene i's count range, minimum gap and class pool (default: every class)
@@ -438,7 +452,7 @@ def cmd_bench(args) -> int:
             heads, config.anchors, det_config, names))
         timings.append((time.perf_counter() - start) * 1000.0)
     timings.sort()
-    candidates = cfgmod.total_grid_cells(input_n) * 3
+    candidates = total_grid_cells(input_n) * 3
     p50 = timings[len(timings) // 2]
     p99 = timings[min(len(timings) - 1, int(len(timings) * 0.99))]
     print(f"frames: {args.frames}  candidates/frame: {candidates}")
@@ -478,7 +492,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rotations", default="", help="comma-separated degrees")
     p.add_argument("--flips", default="", help="comma-separated axes (h,v)")
     p.add_argument("--out", required=True)
-    p.add_argument("--floor", type=int, default=300,
+    p.add_argument("--floor", type=_int_at_least(0), default=300,
                    help="per-class image floor to check")
     p.set_defaults(func=cmd_augment)
 
@@ -528,7 +542,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("synth", help="generate a synthetic scenario dataset")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_int_at_least(0), default=0)
     p.add_argument("--scenario", type=int, required=True, choices=SCENARIO_BY_NUMBER)
     p.add_argument("--count", type=_int_at_least(0), required=True)
     p.add_argument("--out", required=True)

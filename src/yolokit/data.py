@@ -8,8 +8,9 @@ per-image `class_id cx cy w h` lines in normalized center form, and
 aggregate uses pixel corners with one row per box.
 
 Both label formats and `postprocess`'s detection lines are read by
-`read_records`, which skips blank lines, checks field counts and puts
-`line N: ` in front of every error; each format checks only its fields.
+`records.read_records`, which skips blank lines, checks field counts and
+puts `line N: ` in front of every error; each format checks only its
+fields. `ClassRegistry` also lives in `records` and is re-exported here.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .boxes import BoxCorner, BoxNorm, corner_to_norm, norm_to_corner
+from .records import ClassRegistry, read_records
 
 # label coordinates are quantized to this grid so that the flip and exact
 # 90-degree label maps (x -> 1-x and coordinate swaps) are closed and
@@ -89,48 +91,6 @@ class LabeledImage:
         return os.path.splitext(base)[0]
 
 
-class ClassRegistry:
-    """Ordered class names; a name's position is its class_id."""
-
-    __slots__ = ("names",)
-
-    def __init__(self, names: Sequence[str]):
-        names = tuple(names)
-        if not names:
-            raise ValueError("registry needs at least one class name")
-        if len(set(names)) != len(names):
-            raise ValueError("class names must be unique")
-        if any(not n or n.split() != [n] for n in names):
-            raise ValueError("class names must be non-empty, without whitespace")
-        self.names = names
-
-    @classmethod
-    def from_text(cls, text: str) -> "ClassRegistry":
-        return cls([line.strip() for line in text.splitlines() if line.strip()])
-
-    def to_text(self) -> str:
-        return "".join(name + "\n" for name in self.names)
-
-    def index(self, name: str) -> int:
-        if name not in self.names:
-            raise ValueError(f"unknown class {name!r}")
-        return self.names.index(name)
-
-    def __len__(self) -> int:
-        return len(self.names)
-
-    def __getitem__(self, class_id: int) -> str:
-        return self.names[class_id]
-
-    def __iter__(self):
-        return iter(self.names)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ClassRegistry):
-            return NotImplemented
-        return self.names == other.names
-
-
 # ---------------------------------------------------------------------------
 # PPM (P6, maxval 255)
 
@@ -191,23 +151,6 @@ def write_ppm(image: Image) -> bytes:
 
 # ---------------------------------------------------------------------------
 # Label text formats
-
-def read_records(text: str, fields: int, parse_record) -> list:
-    """`parse_record(parts)` for each non-blank line split on whitespace.
-    A line without `fields` parts, or a ValueError from `parse_record`,
-    raises ValueError with `line N: ` (counted from 1) in front."""
-    out = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        parts = line.split()
-        try:
-            if len(parts) == fields:
-                out.append(parse_record(parts))
-            elif parts:
-                raise ValueError(f"expected {fields} fields, got {len(parts)}")
-        except ValueError as exc:
-            raise ValueError(f"line {lineno}: {exc}") from None
-    return out
-
 
 def read_yolo_labels(text: str, registry) -> list[tuple[int, BoxNorm]]:
     """Parse `class_id cx cy w h` lines (normalized center form).

@@ -25,9 +25,9 @@ import numpy as np
 
 from .boxes import BoxCorner, iou
 from .postprocess import Detection, check_unit_interval
+from .records import SCENARIOS
 
 IOU_THRESHOLDS = tuple(round(0.5 + 0.05 * k, 2) for k in range(10))
-SCENARIOS = ("single-class", "multi-class-group", "all-classes")
 
 
 @dataclass(frozen=True)

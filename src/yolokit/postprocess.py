@@ -42,17 +42,15 @@ Infinite logits are legal.
 from __future__ import annotations
 
 import functools
-import json
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from .boxes import (Anchor, BoxCorner, RawPrediction, decode_corners,
-                    iou_one_to_many, responsible_cell, sigmoid)
-from .cfg import grid_sizes, head_channels
-from .data import ClassRegistry, read_records
+from .boxes import (Anchor, BoxCorner, RawPrediction, decode_corners, grid_sizes,
+                    head_channels, iou_one_to_many, responsible_cell, sigmoid)
+from .records import ClassRegistry, read_records
 from .tensor import ShapeError, Tensor
 
 # YOLOv4's nine priors in input pixels, three per scale, fine to coarse
@@ -587,6 +585,7 @@ def parse_detection_lines(text: str, class_names) -> list[Detection]:
 
 def detections_to_json(dets) -> str:
     """Structured JSON array of detections."""
+    import json  # only `detect --json` pays for the json package
     payload = [{
         "class_id": d.class_id,
         "class_name": d.class_name,

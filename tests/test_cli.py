@@ -1,7 +1,11 @@
 """End-to-end command-line flows driven through main(argv)."""
 
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -109,7 +113,7 @@ def test_run_config_parsing_details():
     assert cli.parse_run_config("per_class_nms=YES\n").per_class_nms
     assert not cli.parse_run_config("per_class_nms=False\n").per_class_nms
     for line in ("per_class_nms=on", "per_class_nms=2", "per_class_nms=",
-                 "seed=x", "iou_threshold=abc", "iou_threshold=1.5",
+                 "seed=x", "seed=-5", "iou_threshold=abc", "iou_threshold=1.5",
                  "confidence_floor=nan", "anchors=1,2", "anchors=1,2,x",
                  "mystery=1", "seed", "objectness_threshold=0.5",
                  "classes=a.txt", "input_n=608", "rotations=90", "flips=h",
@@ -536,19 +540,119 @@ def test_usage_errors_exit_two(tmp_path, capsys):
         cli.main(["no-such-command"])
     assert exc.value.code == 2
     synth = ["synth", "--scenario", "1", "--out", str(tmp_path / "s"), "--count"]
+    augment = ["augment", str(tiny_dataset(tmp_path / "aug_in")),
+               "--out", str(tmp_path / "aug"), "--floor"]
     for argv, message in ((["bench", "--frames", "0"], "at least 1, got 0"),
                           (["bench", "--frames", "-1"], "at least 1, got -1"),
                           (["bench", "--classes-count", "0"], "at least 1, got 0"),
                           (synth + ["-2"], "--count: must be at least 0, got -2"),
-                          (synth + ["x"], "--count: invalid int value: 'x'")):
+                          (synth + ["x"], "--count: invalid int value: 'x'"),
+                          (synth + ["1", "--seed", "-1"],
+                           "--seed: must be at least 0, got -1"),
+                          (synth + ["1", "--scenario", "9"],
+                           "--scenario: invalid choice: 9"),
+                          (augment + ["-3"], "--floor: must be at least 0, got -3")):
         with pytest.raises(SystemExit) as exc:
             cli.main(argv)
         assert exc.value.code == 2
         assert message in capsys.readouterr().err
     assert not (tmp_path / "s").exists()
+    assert not (tmp_path / "aug").exists()
+    config = tmp_path / "run.cfg"
+    config.write_text("seed=-5\n")
+    for argv in (["bench", "--config", str(config)],
+                 ["detect", "--config", str(config), "--dump-config"]):
+        assert cli.main(argv) == 2
+        assert ("run.cfg: config line 1: seed must be at least 0, got -5"
+                in capsys.readouterr().err)
     ds = tiny_dataset(tmp_path / "truth")
     for value in ("nan", "1.5", "-1"):
         rc = cli.main(["eval", "--detections", str(tmp_path / "dets"),
                        "--truth", str(ds), "--iou", value])
         assert rc == 2
         assert value in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# import closure
+
+# Fresh interpreter: the yolokit submodules that `import yolokit.cli` loads,
+# the exit code of `cli.main(argv)` for the JSON argv given, and the
+# submodules loaded after it, as the last stdout line.
+CLI_PROBE = """
+import json, sys
+import yolokit.cli
+def loaded():
+    return sorted(m for m in sys.modules if m.startswith("yolokit."))
+before = loaded()
+code = yolokit.cli.main(json.loads(sys.argv[1]))
+print(json.dumps([before, code, loaded()]))
+"""
+
+CLI_CLOSURE = ["yolokit.boxes", "yolokit.cli", "yolokit.postprocess",
+               "yolokit.records", "yolokit.tensor"]
+
+
+def fresh_cli(argv):
+    """(modules after `import yolokit.cli`, exit code, modules after the
+    command) of `argv` run in a new interpreter."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", CLI_PROBE, json.dumps(argv)],
+                         env=env, stdout=subprocess.PIPE, check=True, timeout=60)
+    return json.loads(out.stdout.splitlines()[-1])
+
+
+@pytest.fixture
+def walkthrough(tmp_path, capsys):
+    """A two-image scenario-1 dataset, its heads and its detections."""
+    ds, heads, dets = tmp_path / "ds", tmp_path / "heads", tmp_path / "dets"
+    assert cli.main(["synth", "--scenario", "1", "--count", "2",
+                     "--seed", "5", "--out", str(ds)]) == 0
+    assert cli.main(["encode", str(ds), "--out", str(heads)]) == 0
+    dets.mkdir()
+    for stem in ("scene_000005", "scene_000006"):
+        assert cli.main(["detect", "--classes", str(ds / "classes.txt"),
+                         "--heads", *(str(heads / f"{stem}.h{k}") for k in range(3)),
+                         "--out", str(dets / f"{stem}.txt")]) == 0
+    capsys.readouterr()
+    return ds, heads, dets
+
+
+def test_a_detect_process_loads_only_the_modules_detect_runs(walkthrough, tmp_path):
+    ds, heads, dets = walkthrough
+    head_files = [str(heads / f"scene_000005.h{k}") for k in range(3)]
+    for flag, name in (([], "detect.txt"), (["--json"], "detect.json")):
+        before, code, after = fresh_cli(
+            ["detect", "--classes", str(ds / "classes.txt"), "--heads", *head_files,
+             "--out", str(tmp_path / name), *flag])
+        assert before == CLI_CLOSURE
+        assert code == 0
+        assert after == CLI_CLOSURE
+    assert (tmp_path / "detect.txt").read_bytes() == (
+        dets / "scene_000005.txt").read_bytes()
+    assert cli.main(["detect", "--classes", str(ds / "classes.txt"), "--json",
+                     "--heads", *head_files, "--out", str(tmp_path / "inproc.json")]) == 0
+    assert (tmp_path / "detect.json").read_bytes() == (
+        tmp_path / "inproc.json").read_bytes()
+
+
+@pytest.mark.parametrize("command, extra", [
+    ("netinfo", ["yolokit.cfg"]),
+    ("synth", ["yolokit.data"]),
+    ("eval", ["yolokit.data", "yolokit.metrics"]),
+])
+def test_each_command_runs_from_a_fresh_process(walkthrough, tmp_path, command, extra):
+    ds, _, dets = walkthrough
+    argv = {
+        "netinfo": ["netinfo", str(Path(cli.__file__).parent / "assets" / "yolov4.cfg")],
+        "synth": ["synth", "--scenario", "2", "--count", "1",
+                  "--out", str(tmp_path / "synth")],
+        "eval": ["eval", "--detections", str(dets), "--truth", str(ds),
+                 "--scenario", "1"],
+    }[command]
+    before, code, after = fresh_cli(argv)
+    assert before == CLI_CLOSURE
+    assert code == 0
+    assert after == sorted(CLI_CLOSURE + extra)
