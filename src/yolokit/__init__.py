@@ -11,34 +11,7 @@ Modules:
   cli          batch command-line front end
 """
 
-import ctypes
 import importlib
-
-# glibc mallopt parameters (malloc.h)
-_M_TRIM_THRESHOLD = -1
-_M_MMAP_THRESHOLD = -3
-
-
-def _pin_malloc_thresholds() -> None:
-    """Fix glibc malloc's mmap and trim thresholds at the values its own
-    dynamic rule ends at (32 MiB, and twice that for trimming).
-
-    Left dynamic, both settle near the few-MB size of the per-frame head
-    arrays. A process then either reuses that memory frame after frame
-    or returns it to the kernel and page-faults it back in on every
-    frame, depending only on heap layout: on a 2-vCPU x86-64 VM the same
-    608 px frame loop took 2.0 ms per sparse frame in some processes and
-    3 ms in others. Does nothing where the C library has no mallopt.
-    """
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except (AttributeError, OSError, TypeError):
-        return
-    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
-    mallopt(_M_TRIM_THRESHOLD, 64 << 20)
-
-
-_pin_malloc_thresholds()
 
 __version__ = "0.1.0"
 

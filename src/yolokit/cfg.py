@@ -255,10 +255,8 @@ def propagate_shapes(graph: NetGraph) -> NetGraph:
         elif spec.kind == "upsample":
             stride = _as_int(attrs, "stride", 2, spec, minimum=1)
             out = (h * stride, w * stride, c)
-        elif spec.kind == "yolo":
-            out = prev
         else:
-            # unknown kinds (e.g. [sam]) pass the shape through
+            # [yolo] and unknown kinds (e.g. [sam]) pass the shape through
             out = prev
         shapes.append(out)
     return NetGraph(graph.layers, shapes)

@@ -368,18 +368,22 @@ def cmd_detect(args) -> int:
 def cmd_eval(args) -> int:
     from . import metrics
     registry, truth = _load_dataset_dir(args.truth)
-    paired = set()
+    listed, paired = set(), set()
 
     def samples():
-        # read one image at a time, after scenario_report checks its arguments
+        # list --detections, then read one image at a time, all after
+        # scenario_report checks its arguments
+        listed.update(name for name in os.listdir(args.detections)
+                      if name.endswith(".txt"))
         for sample in truth:
-            paired.add(sample.stem + ".txt")
+            name = sample.stem + ".txt"
+            paired.add(name)
             gts = [metrics.GroundTruth(
                 norm_to_corner(box, sample.image.width, sample.image.height), cid)
                 for cid, box in sample.labels]
-            det_path = os.path.join(args.detections, sample.stem + ".txt")
-            dets = (_load(det_path, postprocess.parse_detection_lines, registry.names)
-                    if os.path.exists(det_path) else [])
+            dets = (_load(os.path.join(args.detections, name),
+                          postprocess.parse_detection_lines, registry.names)
+                    if name in listed else [])
             yield dets, gts
 
     try:  # a number names the scenario at that position
@@ -387,8 +391,7 @@ def cmd_eval(args) -> int:
     except ValueError:
         scenario = args.scenario
     report = metrics.scenario_report(samples(), scenario, args.iou)
-    orphans = sorted(name for name in os.listdir(args.detections)
-                     if name.endswith(".txt") and name not in paired)
+    orphans = sorted(listed - paired)
     if orphans:
         print("no truth image for " + ", ".join(orphans), file=sys.stderr)
     sys.stdout.write(metrics.report_table(report, registry.names))

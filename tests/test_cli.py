@@ -506,6 +506,19 @@ def test_exit_code_three_on_missing_file(tmp_path, capsys):
     assert "classes.txt" in capsys.readouterr().err
 
 
+def test_eval_lists_detections_before_reading_truth_images(tmp_path, capsys):
+    ds = tiny_dataset(tmp_path / "truth")
+    ppm = ds / "part.ppm"
+    ppm.write_bytes(ppm.read_bytes()[:20])  # truncated pixel data
+    missing = tmp_path / "nosuchdir"
+    argv = ["eval", "--detections", str(missing), "--truth", str(ds)]
+    assert cli.main(argv) == 3
+    err = capsys.readouterr().err
+    assert str(missing) in err and "part.ppm" not in err
+    assert cli.main([*argv, "--iou", "1.5"]) == 2
+    assert "error_iou_threshold 1.5" in capsys.readouterr().err
+
+
 def test_synth_exits_two_when_a_scene_cannot_be_placed(tmp_path, capsys):
     classes = tmp_path / "classes.txt"
     classes.write_text("".join(f"c{i}\n" for i in range(200)))

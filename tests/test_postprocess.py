@@ -3,7 +3,6 @@
 import itertools
 import json
 import os
-import platform
 import subprocess
 import sys
 import warnings
@@ -593,38 +592,6 @@ def test_detect_frame_validation():
         detect_frame(good, NINE_ANCHORS[:6], DetectConfig(), ["a", "b", "c"])
 
 
-# Fresh interpreter: page faults of touching a 24 MiB array, then of
-# touching a second one after the first is freed.
-FAULT_PROBE = """
-import resource
-import numpy as np
-import yolokit
-
-def faults_of_touch():
-    start = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-    a = np.ones(3 << 20)
-    del a
-    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - start
-
-print(faults_of_touch(), faults_of_touch())
-"""
-
-
-@pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
-                    reason="malloc thresholds are pinned on glibc only")
-def test_import_keeps_freed_frame_arrays_in_the_heap():
-    # glibc's dynamic rule would unmap the first array and grow the heap
-    # anew for the second; pinned thresholds reuse the first one's pages
-    src = os.path.dirname(os.path.dirname(postprocess.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src, os.environ.get("PYTHONPATH", "")]))
-    out = subprocess.run([sys.executable, "-c", FAULT_PROBE], env=env,
-                         stdout=subprocess.PIPE, check=True, timeout=60)
-    first, second = map(int, out.stdout.split())
-    assert first > 0
-    assert second * 4 < first
-
-
 PUBLIC_NAMES = [
     "Anchor", "BoxCorner", "BoxNorm", "RawPrediction", "corner_to_norm",
     "decode_box", "decode_center", "iou", "norm_to_corner", "responsible_cell",
@@ -646,17 +613,19 @@ PUBLIC_NAMES = [
     "__version__",
 ]
 
-# Fresh interpreter: which submodules `import yolokit` loads, `__all__`,
-# and the module each public name and submodule resolves to.
+# Fresh interpreter: which submodules `import yolokit` loads, whether it
+# loads ctypes (it sets nothing outside Python), `__all__`, and the module
+# each public name and submodule resolves to.
 PACKAGE_PROBE = """
 import importlib, json, sys
 import yolokit
 loaded = sorted(m for m in sys.modules if m.startswith("yolokit."))
+loaded_ctypes = "ctypes" in sys.modules
 defined = [name for name in yolokit.__all__[:-1] if getattr(yolokit, name) is getattr(
     importlib.import_module(getattr(yolokit, name).__module__), name)]
 modules = [m for m in ("tensor", "cfg", "boxes", "postprocess", "data", "metrics")
            if getattr(yolokit, m) is importlib.import_module("yolokit." + m)]
-print(json.dumps([loaded, yolokit.__all__, defined, modules,
+print(json.dumps([loaded, loaded_ctypes, yolokit.__all__, defined, modules,
                   sorted((set(yolokit.__all__) | set(modules)) - set(dir(yolokit)))]))
 """
 
@@ -667,8 +636,9 @@ def test_package_names_resolve_lazily_to_their_modules():
         [src, os.environ.get("PYTHONPATH", "")]))
     out = subprocess.run([sys.executable, "-c", PACKAGE_PROBE], env=env,
                          stdout=subprocess.PIPE, check=True, timeout=60)
-    loaded, public, defined, modules, unlisted = json.loads(out.stdout)
+    loaded, loaded_ctypes, public, defined, modules, unlisted = json.loads(out.stdout)
     assert loaded == []
+    assert not loaded_ctypes
     assert public == PUBLIC_NAMES
     assert defined == PUBLIC_NAMES[:-1]
     assert len(modules) == 6
