@@ -215,8 +215,8 @@ def _write_dataset_dir(directory: str, registry, samples) -> list:
     _write_text(os.path.join(directory, "classes.txt"), registry.to_text())
     written = []
     for sample in samples:
-        Path(directory, sample.stem + ".ppm").write_bytes(
-            data.write_ppm(sample.image))
+        with open(os.path.join(directory, sample.stem + ".ppm"), "wb") as fh:
+            fh.writelines(data.ppm_parts(sample.image))
         _write_text(os.path.join(directory, sample.stem + ".txt"),
                     data.write_yolo_labels(sample.labels))
         written.append(sample.labels)

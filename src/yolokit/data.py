@@ -145,8 +145,14 @@ def read_ppm(data: bytes) -> Image:
 
 def write_ppm(image: Image) -> bytes:
     """Canonical P6 serialization (bit-exact round trip with read_ppm)."""
+    return b"".join(ppm_parts(image))
+
+
+def ppm_parts(image: Image) -> tuple[bytes, np.ndarray]:
+    """`write_ppm`'s header and the C-contiguous pixel array whose bytes
+    follow it, for a file writer to write in turn without joining them."""
     header = f"P6\n{image.width} {image.height}\n255\n".encode("ascii")
-    return header + image.pixels.tobytes()
+    return header, np.ascontiguousarray(image.pixels)
 
 
 # ---------------------------------------------------------------------------
@@ -333,6 +339,10 @@ FLIP_AXES = {"h": "horizontal", "v": "vertical"}
 # share of its area
 _MIN_VISIBLE = 0.2
 
+# destination pixels per band of `rotate`'s inverse map: a band's float64
+# and index temporaries are 128 KiB each, however large the image
+_BAND_PIXELS = 1 << 14
+
 
 def _mirror(sample: LabeledImage, swap: bool, flip_x: bool,
             flip_y: bool) -> LabeledImage:
@@ -405,16 +415,20 @@ def rotate(sample: LabeledImage, degrees: float) -> LabeledImage:
     cos_t, sin_t = math.cos(theta), math.sin(theta)
     cx0, cy0 = w / 2.0, h / 2.0
 
-    # inverse map: for each destination pixel center, rotate back by theta
+    # inverse map: for each destination pixel center, rotate back by theta,
+    # one band of rows at a time so that the index arrays stay small
     dx = np.arange(w) + 0.5 - cx0
     dy = (np.arange(h) + 0.5 - cy0)[:, None]
-    # clockwise forward is (x cos - y sin, x sin + y cos) with y down, so
-    # the inverse uses the transpose
-    src_x = np.floor(cos_t * dx + sin_t * dy + cx0).astype(np.int64)
-    src_y = np.floor(-sin_t * dx + cos_t * dy + cy0).astype(np.int64)
-    valid = (0 <= src_x) & (src_x < w) & (0 <= src_y) & (src_y < h)
     pixels = np.zeros_like(img.pixels)
-    pixels[valid] = img.pixels[src_y[valid], src_x[valid]]
+    rows = max(1, _BAND_PIXELS // w)
+    for top in range(0, h, rows):
+        band = dy[top:top + rows]
+        # clockwise forward is (x cos - y sin, x sin + y cos) with y down,
+        # so the inverse uses the transpose
+        src_x = np.floor(cos_t * dx + sin_t * band + cx0).astype(np.intp)
+        src_y = np.floor(-sin_t * dx + cos_t * band + cy0).astype(np.intp)
+        valid = (0 <= src_x) & (src_x < w) & (0 <= src_y) & (src_y < h)
+        pixels[top:top + rows][valid] = img.pixels[src_y[valid], src_x[valid]]
 
     labels = []
     for cid, b in sample.labels:

@@ -396,7 +396,8 @@ def test_augment_writes_all_variants(tmp_path, capsys):
     ds = tmp_path / "ds"
     ds.mkdir()
     (ds / "classes.txt").write_text("bolt\n")
-    image = data.Image.new(64, 64, color=(50, 50, 50))
+    rng = np.random.default_rng(3)
+    image = data.Image(rng.integers(0, 256, (64, 64, 3), dtype=np.uint8))
     (ds / "a.ppm").write_bytes(data.write_ppm(image))
     (ds / "a.txt").write_text("0 0.500000 0.500000 0.250000 0.250000\n")
     out = tmp_path / "aug"
@@ -410,6 +411,10 @@ def test_augment_writes_all_variants(tmp_path, capsys):
     ppms = sorted(p.name for p in out.glob("*.ppm"))
     assert ppms == ["a_r0_fh.ppm", "a_r0_fnone.ppm",
                     "a_r90_fh.ppm", "a_r90_fnone.ppm"]
+    variants = data.iter_expanded(
+        [data.LabeledImage(image, (), str(ds / "a.ppm"))], [0, 90], ["horizontal"])
+    assert {v.stem + ".ppm": data.write_ppm(v.image) for v in variants} == {
+        ppm: (out / ppm).read_bytes() for ppm in ppms}
     for ppm in ppms:
         label = out / (ppm[:-4] + ".txt")
         assert label.exists()

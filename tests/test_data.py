@@ -88,6 +88,9 @@ def test_ppm_round_trip_byte_identical():
     again = read_ppm(data)
     assert again == img
     assert write_ppm(again) == data
+    # a strided view is written in row-major pixel order as well
+    view = Image(img.pixels.swapaxes(0, 1)[::-1])
+    assert write_ppm(view) == b"P6\n4 6\n255\n" + view.pixels.tobytes()
 
 
 def test_ppm_header_tolerates_comments_and_whitespace():
@@ -404,6 +407,27 @@ def test_rotate_drops_mostly_clipped_labels():
                           "edge.ppm")
     out = rotate(sample, 45.0)
     assert out.labels == ()
+
+
+@pytest.mark.parametrize("band_pixels", [1, 7 * 91, 1 << 30])
+def test_rotate_resamples_the_same_in_any_band_of_rows(monkeypatch, band_pixels):
+    # one row, seven rows, or the whole 37x91 image per band of the
+    # inverse map, against that map computed for all pixels at once
+    rng = np.random.default_rng(7)
+    arr = rng.integers(0, 256, (37, 91, 3), dtype=np.uint8)
+    sample = LabeledImage(Image(arr), ((0, BoxNorm(0.5, 0.5, 0.3, 0.4)),), "b.ppm")
+    monkeypatch.setattr("yolokit.data._BAND_PIXELS", band_pixels)
+    out = rotate(sample, 33.0)
+    theta = math.radians(33.0)
+    dx = np.arange(91) + 0.5 - 45.5
+    dy = (np.arange(37) + 0.5 - 18.5)[:, None]
+    src_x = np.floor(math.cos(theta) * dx + math.sin(theta) * dy + 45.5).astype(int)
+    src_y = np.floor(-math.sin(theta) * dx + math.cos(theta) * dy + 18.5).astype(int)
+    valid = (0 <= src_x) & (src_x < 91) & (0 <= src_y) & (src_y < 37)
+    expected = np.zeros_like(arr)
+    expected[valid] = arr[src_y[valid], src_x[valid]]
+    assert np.array_equal(out.image.pixels, expected)
+    assert out.labels == rotate(sample, 33.0).labels
 
 
 def test_rotate_non_square_uses_resample_path():
