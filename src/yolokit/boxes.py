@@ -31,7 +31,7 @@ def sigmoid(x):
     e = np.exp(-np.abs(arr))
     out = np.where(arr >= 0.0, 1.0, e)
     out /= 1.0 + e
-    if np.isscalar(x) or arr.ndim == 0:
+    if arr.ndim == 0:
         return float(out)
     return out
 

@@ -211,7 +211,7 @@ def propagate_shapes(graph: NetGraph) -> NetGraph:
             if _as_int(attrs, "pad", 0, spec):
                 pad = size // 2
             else:
-                pad = _as_int(attrs, "padding", 0, spec)
+                pad = _as_int(attrs, "padding", 0, spec, minimum=0)
             out = (_window_out(h, size, stride, 2 * pad, spec, "height"),
                    _window_out(w, size, stride, 2 * pad, spec, "width"),
                    filters)
@@ -220,7 +220,7 @@ def propagate_shapes(graph: NetGraph) -> NetGraph:
             # (total padding, not per side)
             stride = _as_int(attrs, "stride", 1, spec, minimum=1)
             size = _as_int(attrs, "size", stride, spec, minimum=1)
-            padding = _as_int(attrs, "padding", size - 1, spec)
+            padding = _as_int(attrs, "padding", size - 1, spec, minimum=0)
             out = (_window_out(h, size, stride, padding, spec, "height"),
                    _window_out(w, size, stride, padding, spec, "width"),
                    c)

@@ -14,7 +14,7 @@ import numpy as np
 
 ACTIVATIONS = ("linear", "leaky", "mish")
 
-# softplus(x) ~ x to well under double precision beyond this point
+# tanh(softplus(x)) rounds to 1.0 beyond this point
 _SOFTPLUS_CUTOFF = 20.0
 
 
@@ -25,25 +25,27 @@ class ShapeError(ValueError):
 def mish(x):
     """x * tanh(softplus(x)), overflow-safe for every finite double.
 
-    Accepts a scalar or an ndarray. For x > 20 the softplus is replaced by
-    x itself (the difference is below 1 ulp there), which keeps the
-    function total: no overflow, no NaN, for any finite input.
+    Accepts a scalar or an ndarray. With e = exp(x) and n = e*(e + 2),
+    tanh(softplus(x)) = n / (n + 2), so one exp serves both. e is taken at
+    min(x, 20): beyond that n + 2 rounds to n and the result is x itself,
+    which keeps the function total: no overflow, no NaN, for any finite
+    input.
     """
     arr = np.asarray(x, dtype=np.float64)
-    soft = np.where(arr > _SOFTPLUS_CUTOFF,
-                    arr,
-                    np.log1p(np.exp(np.minimum(arr, _SOFTPLUS_CUTOFF))))
-    out = arr * np.tanh(soft)
-    if np.isscalar(x) or arr.ndim == 0:
-        return float(out)
-    return out
+    e = np.exp(np.minimum(arr, _SOFTPLUS_CUTOFF))
+    n = e * (e + 2.0)
+    n /= n + 2.0  # in place: each full-size temporary costs page faults
+    n *= arr
+    if arr.ndim == 0:
+        return float(n)
+    return n
 
 
 def leaky_relu(x, slope: float = 0.1):
     """x for x >= 0, slope*x below. Scalar or ndarray."""
     arr = np.asarray(x, dtype=np.float64)
     out = np.where(arr >= 0.0, arr, slope * arr)
-    if np.isscalar(x) or arr.ndim == 0:
+    if arr.ndim == 0:
         return float(out)
     return out
 
@@ -85,15 +87,6 @@ class Tensor:
         self.data = arr
 
     @classmethod
-    def from_flat(cls, height: int, width: int, channels: int, values) -> "Tensor":
-        flat = np.asarray(values, dtype=np.float64).ravel()
-        if flat.size != height * width * channels:
-            raise ShapeError(
-                f"values length {flat.size} != {height}x{width}x{channels}"
-            )
-        return cls(flat.reshape(height, width, channels))
-
-    @classmethod
     def zeros(cls, height: int, width: int, channels: int) -> "Tensor":
         return cls(np.zeros((height, width, channels)), copy=False)
 
@@ -126,62 +119,41 @@ class Tensor:
         return f"Tensor({self.height}x{self.width}x{self.channels})"
 
 
-class ConvParams:
-    """Weights and geometry of one convolution layer.
+def _check_window(kernel: int, stride: int, pad: int) -> None:
+    if kernel < 1:
+        raise ValueError(f"kernel must be positive, got {kernel}")
+    if stride < 1:
+        raise ValueError(f"stride must be positive, got {stride}")
+    if pad < 0:
+        raise ValueError(f"pad must be non-negative, got {pad}")
 
-    `weights` may be given flat (then `in_channels` is required) or already
-    shaped (filters, in_channels, kernel, kernel). Length must match the
-    declared dimensions exactly.
+
+class ConvParams:
+    """Weights and settings of one convolution layer.
+
+    `weights` has shape (filters, in_channels, kernel, kernel); the layer's
+    geometry is read from it.
     """
 
-    __slots__ = ("filters", "kernel", "stride", "pad", "weights", "bias", "activation")
+    __slots__ = ("stride", "pad", "weights", "bias", "activation")
 
-    def __init__(self, filters: int, kernel: int, weights, bias, *,
-                 in_channels: int | None = None, stride: int = 1, pad: int = 0,
+    def __init__(self, weights, bias, *, stride: int = 1, pad: int = 0,
                  activation: str = "linear"):
-        if filters < 1:
-            raise ValueError(f"filters must be positive, got {filters}")
-        if kernel < 1:
-            raise ValueError(f"kernel must be positive, got {kernel}")
-        if stride < 1:
-            raise ValueError(f"stride must be positive, got {stride}")
-        if pad < 0:
-            raise ValueError(f"pad must be non-negative, got {pad}")
+        w = np.array(weights, dtype=np.float64, order="C")
+        if w.ndim != 4 or w.shape[2] != w.shape[3]:
+            raise ShapeError(
+                f"weights must be (filters, in_channels, k, k), got shape {w.shape}")
+        if w.shape[0] < 1:
+            raise ValueError(f"filters must be positive, got {w.shape[0]}")
+        _check_window(w.shape[2], stride, pad)
         if activation not in ACTIVATIONS:
             raise ValueError(f"activation must be one of {ACTIVATIONS}, got {activation!r}")
+        b = np.array(np.ravel(bias), dtype=np.float64)
+        if b.size != w.shape[0]:
+            raise ShapeError(f"bias length {b.size} != filters {w.shape[0]}")
 
-        w = np.asarray(weights, dtype=np.float64)
-        if w.ndim == 1:
-            if in_channels is None:
-                raise ValueError("flat weights need an explicit in_channels")
-            expect = filters * in_channels * kernel * kernel
-            if w.size != expect:
-                raise ShapeError(
-                    f"weights length {w.size} != filters x in_channels x k x k = {expect}"
-                )
-            w = w.reshape(filters, in_channels, kernel, kernel)
-        elif w.ndim == 4:
-            if w.shape[0] != filters or w.shape[2] != kernel or w.shape[3] != kernel:
-                raise ShapeError(
-                    f"shaped weights {w.shape} disagree with filters={filters} kernel={kernel}"
-                )
-            if in_channels is not None and w.shape[1] != in_channels:
-                raise ShapeError(
-                    f"shaped weights expect {w.shape[1]} input channels, caller says {in_channels}"
-                )
-        else:
-            raise ShapeError(f"weights must be flat or 4-D, got {w.ndim}-D")
-
-        b = np.asarray(bias, dtype=np.float64).ravel()
-        if b.size != filters:
-            raise ShapeError(f"bias length {b.size} != filters {filters}")
-
-        w = w.copy()
         w.setflags(write=False)
-        b = b.copy()
         b.setflags(write=False)
-        self.filters = filters
-        self.kernel = kernel
         self.stride = stride
         self.pad = pad
         self.weights = w
@@ -189,15 +161,21 @@ class ConvParams:
         self.activation = activation
 
     @property
+    def filters(self) -> int:
+        return self.weights.shape[0]
+
+    @property
     def in_channels(self) -> int:
         return self.weights.shape[1]
+
+    @property
+    def kernel(self) -> int:
+        return self.weights.shape[2]
 
     @classmethod
     def identity(cls, channels: int) -> "ConvParams":
         """1x1 linear convolution that maps every map to itself."""
-        w = np.zeros((channels, channels, 1, 1))
-        w[np.arange(channels), np.arange(channels), 0, 0] = 1.0
-        return cls(channels, 1, w, np.zeros(channels))
+        return cls(np.eye(channels)[:, :, None, None], np.zeros(channels))
 
 
 def _window_extent(size: int, kernel: int, stride: int, pad: int, axis: str) -> int:
@@ -236,6 +214,7 @@ def conv2d(input: Tensor, params: ConvParams) -> Tensor:
 
 def max_pool(input: Tensor, kernel: int, stride: int, pad: int = 0) -> Tensor:
     """Per-channel window maximum; padding contributes -inf, never a value."""
+    _check_window(kernel, stride, pad)
     out_h = _window_extent(input.height, kernel, stride, pad, "height")
     out_w = _window_extent(input.width, kernel, stride, pad, "width")
     padded = np.pad(input.data, ((pad, pad), (pad, pad), (0, 0)),

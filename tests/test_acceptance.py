@@ -36,7 +36,6 @@ def _line(cid, detail):
 def _random_conv(rng, in_c, filters, kernel, stride=1, pad=0,
                  activation="linear"):
     return ConvParams(
-        filters, kernel,
         rng.normal(0.0, 1.0, (filters, in_c, kernel, kernel)),
         rng.normal(0.0, 1.0, filters),
         stride=stride, pad=pad, activation=activation)
@@ -270,8 +269,8 @@ def test_c07_block_semantics():
         c = int(rng.integers(1, 7))
         mid = int(rng.integers(1, 5))
         t = Tensor(rng.normal(0.0, 1.0, (h, w, c)))
-        conv1 = ConvParams(mid, 1, np.zeros((mid, c, 1, 1)), np.zeros(mid))
-        conv2 = ConvParams(c, 3, np.zeros((c, mid, 3, 3)), np.zeros(c), pad=1)
+        conv1 = ConvParams(np.zeros((mid, c, 1, 1)), np.zeros(mid))
+        conv2 = ConvParams(np.zeros((c, mid, 3, 3)), np.zeros(c), pad=1)
         out = residual_block(t, conv1, conv2)
         assert np.array_equal(out.data, t.data)
 

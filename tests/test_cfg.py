@@ -189,6 +189,11 @@ def test_window_collapse_is_an_error():
                     "[maxpool]\nstride=0\n", "[upsample]\nstride=0\n"):
         with pytest.raises(CfgError, match=r"^line 5: .* must be at least 1, got 0"):
             propagate_shapes(parse_cfg(NET_416 + section))
+    # a negative padding would widen the output instead of failing
+    for section in ("[convolutional]\nfilters=8\nsize=3\npadding=-2\n",
+                    "[maxpool]\nsize=2\nstride=2\npadding=-1\n"):
+        with pytest.raises(CfgError, match=r"^line 5: .*'padding' must be at least 0"):
+            propagate_shapes(parse_cfg(NET_416 + section))
     with pytest.raises(CfgError, match=r"^line 1: .*'width' must be at least 1"):
         propagate_shapes(parse_cfg("[net]\nwidth=0\nheight=32\n[yolo]\n"))
 

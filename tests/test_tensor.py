@@ -15,7 +15,6 @@ from oracles import (conv2d_ref, csp_ref, max_pool_ref, mish_ref,
 
 def random_conv(rng, in_c, filters, kernel, stride=1, pad=0, activation="linear"):
     return ConvParams(
-        filters, kernel,
         rng.normal(0.0, 1.0, (filters, in_c, kernel, kernel)),
         rng.normal(0.0, 1.0, filters),
         stride=stride, pad=pad, activation=activation)
@@ -116,16 +115,11 @@ def test_tensor_copies_its_input_by_default():
 
 
 def test_tensor_flat_order_is_row_col_channel():
-    t = Tensor.from_flat(2, 2, 2, range(8))
+    t = Tensor(np.arange(8).reshape(2, 2, 2))
     assert t.data[0, 0, 1] == 1.0
     assert t.data[0, 1, 0] == 2.0
     assert t.data[1, 0, 0] == 4.0
     assert list(t.values) == list(range(8))
-
-
-def test_tensor_from_flat_length_check():
-    with pytest.raises(ShapeError):
-        Tensor.from_flat(2, 2, 2, range(7))
 
 
 def test_tensor_constructors():
@@ -136,39 +130,35 @@ def test_tensor_constructors():
 # ---------------------------------------------------------------------------
 # ConvParams
 
-def test_conv_params_flat_weights_need_in_channels():
-    with pytest.raises(ValueError):
-        ConvParams(1, 1, np.zeros(4), np.zeros(1))
-
-
-def test_conv_params_flat_weight_length_check():
-    with pytest.raises(ShapeError):
-        ConvParams(2, 3, np.zeros(10), np.zeros(2), in_channels=1)
-    p = ConvParams(2, 3, np.arange(2 * 1 * 9, dtype=float), np.zeros(2),
-                   in_channels=1)
-    assert p.weights.shape == (2, 1, 3, 3)
-
-
 def test_conv_params_shaped_weight_checks():
+    w = np.zeros((2, 4, 3, 3))
+    p = ConvParams(w, np.zeros(2))
+    assert (p.filters, p.in_channels, p.kernel) == (2, 4, 3)
+    assert not np.shares_memory(p.weights, w)
+    assert not p.weights.flags.writeable and not p.bias.flags.writeable
     with pytest.raises(ShapeError):
-        ConvParams(2, 3, np.zeros((3, 1, 3, 3)), np.zeros(2))
+        ConvParams(np.zeros((3, 1, 3, 3)), np.zeros(2))
     with pytest.raises(ShapeError):
-        ConvParams(2, 3, np.zeros((2, 1, 3, 3)), np.zeros(2), in_channels=4)
+        ConvParams(np.zeros((2, 1, 3, 3)), np.zeros(3))
     with pytest.raises(ShapeError):
-        ConvParams(2, 3, np.zeros((2, 1, 3, 3)), np.zeros(3))
+        ConvParams(np.zeros((2, 1, 3)), np.zeros(2))
+    with pytest.raises(ShapeError):
+        ConvParams(np.zeros((2, 1, 3, 2)), np.zeros(2))
+    with pytest.raises(ValueError):
+        ConvParams(np.zeros((0, 1, 3, 3)), np.zeros(0))
+    with pytest.raises(ValueError):
+        ConvParams(np.zeros((2, 1, 0, 0)), np.zeros(2))
 
 
 def test_conv_params_rejects_bad_geometry():
     w = np.zeros((1, 1, 1, 1))
     b = np.zeros(1)
     with pytest.raises(ValueError):
-        ConvParams(0, 1, w, b)
+        ConvParams(w, b, stride=0)
     with pytest.raises(ValueError):
-        ConvParams(1, 1, w, b, stride=0)
+        ConvParams(w, b, pad=-1)
     with pytest.raises(ValueError):
-        ConvParams(1, 1, w, b, pad=-1)
-    with pytest.raises(ValueError):
-        ConvParams(1, 1, w, b, activation="relu")
+        ConvParams(w, b, activation="relu")
 
 
 def test_conv_params_identity():
@@ -182,8 +172,8 @@ def test_conv_params_identity():
 # conv2d
 
 def test_conv2d_single_window_sum():
-    t = Tensor.from_flat(2, 2, 1, [1, 2, 3, 4])
-    params = ConvParams(1, 2, np.ones((1, 1, 2, 2)), [0.0])
+    t = Tensor(np.array([1, 2, 3, 4]).reshape(2, 2, 1))
+    params = ConvParams(np.ones((1, 1, 2, 2)), [0.0])
     out = conv2d(t, params)
     assert out.shape == (1, 1, 1)
     assert out.data[0, 0, 0] == 10.0
@@ -191,7 +181,7 @@ def test_conv2d_single_window_sum():
 
 def test_conv2d_channel_mismatch():
     t = Tensor.zeros(4, 4, 3)
-    params = ConvParams(1, 1, np.zeros((1, 2, 1, 1)), [0.0])
+    params = ConvParams(np.zeros((1, 2, 1, 1)), [0.0])
     with pytest.raises(ShapeError):
         conv2d(t, params)
 
@@ -208,7 +198,7 @@ def test_conv2d_stride_and_pad_shape():
 
 def test_conv2d_window_collapse_raises():
     t = Tensor.zeros(2, 2, 1)
-    params = ConvParams(1, 5, np.zeros((1, 1, 5, 5)), [0.0])
+    params = ConvParams(np.zeros((1, 1, 5, 5)), [0.0])
     with pytest.raises(ShapeError):
         conv2d(t, params)
 
@@ -239,10 +229,17 @@ def test_conv2d_matches_oracle_across_shapes_and_activations():
 # max_pool
 
 def test_max_pool_basic():
-    t = Tensor.from_flat(2, 2, 1, [1, 2, 3, 4])
+    t = Tensor(np.array([1, 2, 3, 4]).reshape(2, 2, 1))
     out = max_pool(t, 2, 2)
     assert out.shape == (1, 1, 1)
     assert out.data[0, 0, 0] == 4.0
+    square = Tensor.zeros(4, 4, 1)
+    for kernel, stride, pad, match in ((0, 1, 0, "kernel .* got 0"),
+                                       (-1, 1, 0, "kernel .* got -1"),
+                                       (2, 0, 0, "stride .* got 0"),
+                                       (2, 1, -1, "pad .* got -1")):
+        with pytest.raises(ValueError, match=match):
+            max_pool(square, kernel, stride, pad)
 
 
 def test_max_pool_padding_never_wins():
@@ -275,8 +272,8 @@ def test_max_pool_matches_oracle():
 def test_residual_zero_weights_is_identity():
     rng = np.random.default_rng(42)
     t = Tensor(rng.normal(0.0, 1.0, (4, 4, 8)))
-    conv1 = ConvParams(4, 1, np.zeros((4, 8, 1, 1)), np.zeros(4))
-    conv2 = ConvParams(8, 3, np.zeros((8, 4, 3, 3)), np.zeros(8), pad=1)
+    conv1 = ConvParams(np.zeros((4, 8, 1, 1)), np.zeros(4))
+    conv2 = ConvParams(np.zeros((8, 4, 3, 3)), np.zeros(8), pad=1)
     out = residual_block(t, conv1, conv2)
     assert np.array_equal(out.data, t.data)
 
@@ -294,14 +291,14 @@ def test_residual_matches_composed_oracle():
 
 def test_residual_geometry_checks():
     t = Tensor.zeros(4, 4, 8)
-    one = ConvParams(4, 1, np.zeros((4, 8, 1, 1)), np.zeros(4))
-    three = ConvParams(8, 3, np.zeros((8, 4, 3, 3)), np.zeros(8), pad=1)
+    one = ConvParams(np.zeros((4, 8, 1, 1)), np.zeros(4))
+    three = ConvParams(np.zeros((8, 4, 3, 3)), np.zeros(8), pad=1)
     with pytest.raises(ShapeError):
         residual_block(t, three, three)  # conv1 must be 1x1
-    bad = ConvParams(8, 3, np.zeros((8, 4, 3, 3)), np.zeros(8), pad=0)
+    bad = ConvParams(np.zeros((8, 4, 3, 3)), np.zeros(8), pad=0)
     with pytest.raises(ShapeError):
         residual_block(t, one, bad)  # conv2 must pad 1
-    shrink = ConvParams(4, 3, np.zeros((4, 4, 3, 3)), np.zeros(4), pad=1)
+    shrink = ConvParams(np.zeros((4, 4, 3, 3)), np.zeros(4), pad=1)
     with pytest.raises(ShapeError):
         residual_block(t, one, shrink)  # branch must restore the shape
 
@@ -360,7 +357,7 @@ def test_spp_rejects_even_sizes():
 
 
 def test_spp_empty_sizes_is_identity():
-    t = Tensor.from_flat(2, 2, 1, [1, 2, 3, 4])
+    t = Tensor(np.array([1, 2, 3, 4]).reshape(2, 2, 1))
     assert np.array_equal(spp_block(t, ()).data, t.data)
 
 
