@@ -167,18 +167,16 @@ def iou(a: BoxCorner, b: BoxCorner) -> float:
     return inter / union
 
 
-def iou_one_to_many(box: BoxCorner | tuple, x_min: np.ndarray,
+def iou_one_to_many(box: tuple, x_min: np.ndarray,
                     y_min: np.ndarray, x_max: np.ndarray,
                     y_max: np.ndarray) -> np.ndarray:
     """IoU of `box` against parallel corner arrays (same math as iou),
     computed in float64.
 
-    `box` is a BoxCorner or an (x_min, y_min, x_max, y_max) tuple whose
-    entries broadcast against the arrays, so column vectors give the IoU
-    matrix of a block of boxes against many.
+    `box` is an (x_min, y_min, x_max, y_max) tuple whose entries broadcast
+    against the arrays, so column vectors give the IoU matrix of a block of
+    boxes against many.
     """
-    if isinstance(box, BoxCorner):
-        box = (box.x_min, box.y_min, box.x_max, box.y_max)
     b_x_min, b_y_min, b_x_max, b_y_max = box
     # iou's steps in its order, each in place, so the bits match
     ix = np.minimum(b_x_max, x_max, dtype=np.float64)

@@ -51,12 +51,6 @@ class Image:
             raise ValueError(f"image dims must be positive, got {arr.shape}")
         self.pixels = arr
 
-    @classmethod
-    def new(cls, width: int, height: int, color=(0, 0, 0)) -> "Image":
-        arr = np.empty((height, width, 3), dtype=np.uint8)
-        arr[:, :] = color
-        return cls(arr)
-
     @property
     def width(self) -> int:
         return self.pixels.shape[1]
@@ -458,16 +452,19 @@ def iter_expanded(samples: Iterable[LabeledImage], rotations: Sequence,
     Flip states are identity plus each requested axis; an empty rotation
     list behaves as a single 0-degree rotation (flips-only expansion).
     Variant names follow `<stem>_r<deg>_f<axis>`. A non-number or
-    non-finite angle, an angle equal to an earlier one or named like it in
-    `<deg>` (90 and 90.0000001 are both `r90`), an unknown axis or a
-    repeated axis raises ValueError from this call, before any sample is read.
+    non-finite angle, an angle equal to an earlier one modulo 360 (`rotate`
+    turns 0 and 360 alike) or named like it in `<deg>` (90 and 90.0000001
+    are both `r90`), an unknown axis or a repeated axis raises ValueError
+    from this call, before any sample is read.
     """
     angles = [_finite_degrees(angle) for angle in rotations] or [0.0]
     flips = [_flip_axis(axis) for axis in flips]
-    for kind, values, show in (("rotation", angles, _angle_tag),
-                               ("flip axis", flips, repr)):
+    for kind, values, turn, show in (
+            ("rotation", angles, lambda angle: angle % 360.0, _angle_tag),
+            ("flip axis", flips, str, repr)):
         for i, value in enumerate(values):
-            if any(value == v or show(value) == show(v) for v in values[:i]):
+            if any(turn(value) == turn(v) or show(value) == show(v)
+                   for v in values[:i]):
                 raise ValueError(f"repeated {kind} {show(value)}")
     tags = {None: "none", **{axis: tag for tag, axis in FLIP_AXES.items()}}
 

@@ -545,18 +545,13 @@ def format_detection_line(det: Detection) -> str:
             f"{b.x_min:.6f} {b.y_min:.6f} {b.x_max:.6f} {b.y_max:.6f}")
 
 
-def format_detections(dets) -> str:
+def format_detections(dets: Detections) -> str:
     """All detection lines, LF-terminated, each as `format_detection_line`
-    writes it. A Detections is written from its columns, a list of
-    Detection from its objects, both through one format."""
-    if isinstance(dets, Detections):
-        table = np.empty((len(dets), 6), dtype=object)
-        table[:, 0] = np.asarray(dets.class_names, dtype=object)[dets.class_id]
-        table[:, 1] = dets.confidence
-        table[:, 2:] = dets.corners
-    else:
-        table = np.array([(d.class_name, d.confidence, d.box.x_min, d.box.y_min,
-                           d.box.x_max, d.box.y_max) for d in dets], dtype=object)
+    writes it, written from the columns of `dets` through one format."""
+    table = np.empty((len(dets), 6), dtype=object)
+    table[:, 0] = np.asarray(dets.class_names, dtype=object)[dets.class_id]
+    table[:, 1] = dets.confidence
+    table[:, 2:] = dets.corners
     return ("%s %.6f %.6f %.6f %.6f %.6f\n" * len(table)
             % tuple(table.ravel().tolist()))
 

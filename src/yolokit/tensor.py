@@ -86,14 +86,6 @@ class Tensor:
         arr.setflags(write=False)
         self.data = arr
 
-    @classmethod
-    def zeros(cls, height: int, width: int, channels: int) -> "Tensor":
-        return cls(np.zeros((height, width, channels)), copy=False)
-
-    @classmethod
-    def full(cls, height: int, width: int, channels: int, value: float) -> "Tensor":
-        return cls(np.full((height, width, channels), float(value)), copy=False)
-
     @property
     def height(self) -> int:
         return self.data.shape[0]
@@ -109,11 +101,6 @@ class Tensor:
     @property
     def shape(self) -> tuple[int, int, int]:
         return self.data.shape
-
-    @property
-    def values(self) -> np.ndarray:
-        """Flat (row, column, channel)-ordered view of the payload."""
-        return self.data.reshape(-1)
 
     def __repr__(self) -> str:
         return f"Tensor({self.height}x{self.width}x{self.channels})"
@@ -171,11 +158,6 @@ class ConvParams:
     @property
     def kernel(self) -> int:
         return self.weights.shape[2]
-
-    @classmethod
-    def identity(cls, channels: int) -> "ConvParams":
-        """1x1 linear convolution that maps every map to itself."""
-        return cls(np.eye(channels)[:, :, None, None], np.zeros(channels))
 
 
 def _window_extent(size: int, kernel: int, stride: int, pad: int, axis: str) -> int:

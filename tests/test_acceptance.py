@@ -159,7 +159,7 @@ def test_c03_head_sizing():
     preds = extract_predictions(head, ANCHORS[6:], 13, 416, scale_index=2)
     assert len(preds) == 507
     with pytest.raises(ShapeError):
-        extract_predictions(Tensor.zeros(13, 13, 53), ANCHORS[6:], 13, 416)
+        extract_predictions(Tensor(np.zeros((13, 13, 53))), ANCHORS[6:], 13, 416)
     with pytest.raises(ShapeError):
         extract_predictions(head, ANCHORS[6:], 12, 416)
     _line("C03", "head_channels(13)=54, 13x13x54 -> 507 predictions, "

@@ -154,7 +154,7 @@ def test_iou_one_to_many_matches_scalar_bitwise():
     x_min, y_min = xs[:, 0], xs[:, 1]
     x_max, y_max = xs[:, 0] + ws[:, 0], xs[:, 1] + ws[:, 1]
     box = BoxCorner(10.0, 10.0, 40.0, 35.0)
-    vec = iou_one_to_many(box, x_min, y_min, x_max, y_max)
+    vec = iou_one_to_many((10.0, 10.0, 40.0, 35.0), x_min, y_min, x_max, y_max)
     for i in range(64):
         other = BoxCorner(float(x_min[i]), float(y_min[i]),
                           float(x_max[i]), float(y_max[i]))
@@ -192,7 +192,7 @@ def test_iou_one_to_many_is_the_old_formula_byte_for_byte(drawn):
         got = iou_one_to_many(columns, *arrays)
         want = iou_one_to_many_ref(columns, *arrays)
         # one box given as scalars
-        one = iou_one_to_many(BoxCorner(0.0, 0.0, 3.0, 2.0), *arrays)
+        one = iou_one_to_many((0.0, 0.0, 3.0, 2.0), *arrays)
         one_want = iou_one_to_many_ref((0.0, 0.0, 3.0, 2.0), *arrays)
     assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
     assert one.tobytes() == one_want.tobytes()

@@ -19,7 +19,7 @@ def tiny_dataset(root, size=64, label="1 0.250000 0.250000 0.250000 0.250000\n")
     """classes.txt plus one labeled image."""
     root.mkdir(parents=True, exist_ok=True)
     (root / "classes.txt").write_text("bolt\ngear\n")
-    image = data.Image.new(size, size, color=(30, 30, 30))
+    image = data.Image(np.full((size, size, 3), (30, 30, 30), np.uint8))
     (root / "part.ppm").write_bytes(data.write_ppm(image))
     (root / "part.txt").write_text(label)
     return root
@@ -265,7 +265,7 @@ def test_detect_names_the_scale_of_a_head_with_the_wrong_channels(tmp_path, caps
     (tmp_path / "classes.txt").write_text("\n".join(cli.DEFAULT_CLASS_NAMES) + "\n")
     head_files = [tmp_path / f"part.h{k}" for k in range(3)]
     for path, grid, channels in zip(head_files, (4, 2, 1), (54, 255, 54)):
-        path.write_bytes(cli.write_head_bytes(Tensor.zeros(grid, grid, channels)))
+        path.write_bytes(cli.write_head_bytes(Tensor(np.zeros((grid, grid, channels)))))
     rc = cli.main(["detect", "--heads", *map(str, head_files),
                    "--classes", str(tmp_path / "classes.txt")])
     assert rc == 2
@@ -324,7 +324,7 @@ def test_labels_convert_both_directions(tmp_path, capsys):
     src = tmp_path / "src"
     src.mkdir()
     (src / "classes.txt").write_text("bolt\ngear\n")
-    image = data.Image.new(128, 128)
+    image = data.Image(np.zeros((128, 128, 3), np.uint8))
     (src / "part.ppm").write_bytes(data.write_ppm(image))
     (src / "part.txt").write_text("gear 16 16 48 48\n")
     as_yolo = tmp_path / "yolo"
@@ -425,12 +425,15 @@ def test_augment_writes_all_variants(tmp_path, capsys):
 
 def test_augment_rejects_a_non_finite_or_repeated_variant(tmp_path, capsys):
     ds = tiny_dataset(tmp_path / "ds")
-    (ds / "bare.ppm").write_bytes(data.write_ppm(data.Image.new(64, 64)))  # no labels
+    bare = data.Image(np.zeros((64, 64, 3), np.uint8))
+    (ds / "bare.ppm").write_bytes(data.write_ppm(bare))  # no labels
     for k, (rotations, flips, message) in enumerate((
             ("nan", "", "rotation nan is not a finite angle"),
             ("1e400", "", "rotation inf is not a finite angle"),
             ("90,-inf", "", "rotation -inf is not a finite angle"),
-            ("0,360,0", "h,horizontal", "repeated rotation 0"),
+            ("0,360,0", "h,horizontal", "repeated rotation 360"),
+            ("90,-270", "", "repeated rotation -270"),
+            ("90,450", "", "repeated rotation 450"),
             ("90,90.0000001", "", "repeated rotation 90"),
             ("0,90", "v,h,vertical", "repeated flip axis 'vertical'"),
             ("0", "h,x", "axis must be 'horizontal' or 'vertical', got 'x'"),
@@ -448,7 +451,7 @@ def test_augment_reports_floor_breach(tmp_path, capsys):
     ds = tmp_path / "ds"
     ds.mkdir()
     (ds / "classes.txt").write_text("bolt\ngear\n")
-    image = data.Image.new(64, 64)
+    image = data.Image(np.zeros((64, 64, 3), np.uint8))
     (ds / "a.ppm").write_bytes(data.write_ppm(image))
     (ds / "a.txt").write_text("0 0.500000 0.500000 0.250000 0.250000\n")
     out = tmp_path / "aug"
@@ -535,7 +538,8 @@ def test_synth_exits_two_when_a_scene_cannot_be_placed(tmp_path, capsys):
 
 def test_exit_code_two_on_size_mismatch(tmp_path, capsys):
     ds = tiny_dataset(tmp_path / "ds")
-    (ds / "wide.ppm").write_bytes(data.write_ppm(data.Image.new(96, 64)))
+    wide = data.Image(np.zeros((64, 96, 3), np.uint8))
+    (ds / "wide.ppm").write_bytes(data.write_ppm(wide))
     rc = cli.main(["encode", str(ds), "--out", str(tmp_path / "heads")])
     assert rc == 2
     assert (f"yolokit: {ds / 'wide.ppm'}: image is 96x64, expected 64x64"
@@ -543,7 +547,8 @@ def test_exit_code_two_on_size_mismatch(tmp_path, capsys):
     odd = tmp_path / "odd"
     odd.mkdir()
     (odd / "classes.txt").write_text("bolt\n")
-    (odd / "square.ppm").write_bytes(data.write_ppm(data.Image.new(100, 100)))
+    square = data.Image(np.zeros((100, 100, 3), np.uint8))
+    (odd / "square.ppm").write_bytes(data.write_ppm(square))
     rc = cli.main(["encode", str(odd), "--out", str(tmp_path / "odd_heads")])
     assert rc == 2
     err = capsys.readouterr().err

@@ -45,11 +45,11 @@ def test_image_validation():
 
 
 def test_image_new_and_eq():
-    img = Image.new(3, 2, color=(10, 20, 30))
+    img = Image(np.full((2, 3, 3), (10, 20, 30), np.uint8))
     assert img.width == 3 and img.height == 2
     assert np.all(img.pixels == (10, 20, 30))
-    assert img == Image.new(3, 2, color=(10, 20, 30))
-    assert img != Image.new(3, 2)
+    assert img == Image(np.full((2, 3, 3), (10, 20, 30), np.uint8))
+    assert img != Image(np.zeros((2, 3, 3), np.uint8))
 
 
 def test_labeled_image_stem():
@@ -463,7 +463,9 @@ def test_rotate_rejects_a_non_finite_angle():
 def test_iter_expanded_rejects_bad_variants_before_the_first():
     sample = make_sample([(0, BoxNorm(0.5, 0.5, 0.25, 0.25))], name="b.ppm")
     for rotations, flips, message in (
-            ([0.0, 360.0, 0.0], [], "repeated rotation 0"),
+            ([0.0, 360.0, 0.0], [], "repeated rotation 360"),
+            ([90.0, -270.0], [], "repeated rotation -270"),
+            ([90.0, 450.0], [], "repeated rotation 450"),
             ([90, 90.0], [], "repeated rotation 90"),
             ([0.0, -0.0], [], "repeated rotation -0"),
             # distinct angles that would share the file name `b_r90_fnone`

@@ -130,7 +130,8 @@ def dataset(tmp_path_factory):
     truth = root / "truth"
     truth.mkdir()
     (truth / "classes.txt").write_text("".join(n + "\n" for n in NAMES))
-    (truth / "part.ppm").write_bytes(data.write_ppm(data.Image.new(64, 64)))
+    image = data.Image(np.zeros((64, 64, 3), np.uint8))
+    (truth / "part.ppm").write_bytes(data.write_ppm(image))
     (root / "dets").mkdir()
     return truth, root / "dets"
 
@@ -183,7 +184,7 @@ def mutated_bytes(draw, valid: bytes):
     return bytes(blob)
 
 
-PPM = data.write_ppm(data.Image.new(4, 3, color=(9, 8, 7)))
+PPM = data.write_ppm(data.Image(np.full((3, 4, 3), (9, 8, 7), np.uint8)))
 PPM_HEADERS = st.builds(
     lambda tokens, seps: b"".join(t + s for t, s in zip(tokens, seps)),
     st.lists(st.sampled_from([b"P6", b"P3", b"4", b"3", b"255", b"0", b"-1",

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -59,11 +60,11 @@ def test_extract_field_layout():
 
 def test_extract_rejects_bad_heads():
     with pytest.raises(ShapeError):
-        extract_predictions(Tensor.zeros(13, 13, 53), SCALE_ANCHORS, 13, 416)
+        extract_predictions(Tensor(np.zeros((13, 13, 53))), SCALE_ANCHORS, 13, 416)
     with pytest.raises(ShapeError):
-        extract_predictions(Tensor.zeros(13, 12, 54), SCALE_ANCHORS, 13, 416)
+        extract_predictions(Tensor(np.zeros((13, 12, 54))), SCALE_ANCHORS, 13, 416)
     with pytest.raises(ShapeError):
-        extract_predictions(Tensor.zeros(13, 13, 54), SCALE_ANCHORS[:2], 13, 416)
+        extract_predictions(Tensor(np.zeros((13, 13, 54))), SCALE_ANCHORS[:2], 13, 416)
 
 
 # ---------------------------------------------------------------------------
@@ -95,7 +96,7 @@ def test_score_argmax_tie_takes_lowest_class():
 
 
 def test_score_names_and_defaults():
-    head = Tensor.zeros(1, 1, 21)
+    head = Tensor(np.zeros((1, 1, 21)))
     raws = extract_predictions(head, SCALE_ANCHORS, 2, 32)
     named = score_predictions(raws, ["cat", "dog"])
     assert named[0].class_name == "cat"
@@ -103,8 +104,8 @@ def test_score_names_and_defaults():
 
 
 def test_score_rejects_mixed_input_sizes():
-    a = extract_predictions(Tensor.zeros(1, 1, 21), SCALE_ANCHORS, 2, 32)
-    b = extract_predictions(Tensor.zeros(1, 1, 21), SCALE_ANCHORS, 2, 64)
+    a = extract_predictions(Tensor(np.zeros((1, 1, 21))), SCALE_ANCHORS, 2, 32)
+    b = extract_predictions(Tensor(np.zeros((1, 1, 21))), SCALE_ANCHORS, 2, 64)
     with pytest.raises(ShapeError):
         score_predictions(a + b, ["cat", "dog"])
 
@@ -581,13 +582,15 @@ def test_the_raw_logit_prefilter_keeps_every_slot_the_sigmoid_test_keeps(drawn):
 
 
 def test_detect_frame_validation():
-    heads = [Tensor.zeros(8, 8, 24), Tensor.zeros(4, 4, 24)]
+    heads = [Tensor(np.zeros((8, 8, 24))), Tensor(np.zeros((4, 4, 24)))]
     with pytest.raises(ShapeError):
         detect_frame(heads, NINE_ANCHORS, DetectConfig(), ["a", "b", "c"])
-    bad = [Tensor.zeros(8, 8, 24), Tensor.zeros(4, 4, 24), Tensor.zeros(3, 3, 24)]
+    bad = [Tensor(np.zeros((8, 8, 24))), Tensor(np.zeros((4, 4, 24))),
+           Tensor(np.zeros((3, 3, 24)))]
     with pytest.raises(ShapeError):
         detect_frame(bad, NINE_ANCHORS, DetectConfig(), ["a", "b", "c"])
-    good = [Tensor.zeros(8, 8, 24), Tensor.zeros(4, 4, 24), Tensor.zeros(2, 2, 24)]
+    good = [Tensor(np.zeros((8, 8, 24))), Tensor(np.zeros((4, 4, 24))),
+            Tensor(np.zeros((2, 2, 24)))]
     with pytest.raises(ShapeError):
         detect_frame(good, NINE_ANCHORS[:6], DetectConfig(), ["a", "b", "c"])
 
@@ -740,13 +743,22 @@ def test_detection_lines_round_trip():
     dets = [make_detection((10.5, 20.25, 30.0, 40.125), 0.75, class_id=1,
                            name="nut"),
             make_detection((1, 2, 3, 4), 0.5, class_id=0, name="bolt")]
-    text = format_detections(dets)
+    text = "".join(format_detection_line(d) + "\n" for d in dets)
     assert text.endswith("\n") and len(text.splitlines()) == 2
     parsed = parse_detection_lines(text, ["bolt", "nut"])
     for want, got in zip(dets, parsed):
         assert got.class_id == want.class_id
         assert abs(got.confidence - want.confidence) < 1e-6
         assert abs(got.box.x_min - want.box.x_min) < 1e-6
+
+
+def test_readme_library_example_runs(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## Library example\n", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(code, "README.md", "exec"), {})
+    lines = capsys.readouterr().out.splitlines()
+    assert any(line.startswith("c0 ") for line in lines), lines
 
 
 def test_parse_detection_lines_errors():
@@ -814,7 +826,6 @@ def test_column_result_formats_as_its_detections(crowded, dtype):
                        list(cli.DEFAULT_CLASS_NAMES))
     assert len(got) >= (50 if crowded else 3)
     text = format_detections(got)
-    assert text == format_detections(list(got))
     assert text == "".join(format_detection_line(d) + "\n" for d in got)
     assert detections_to_json(got) == detections_to_json(list(got))
 
