@@ -132,14 +132,14 @@ def decode_center(t_x: float, t_y: float, cell: tuple, grid_n: int,
     return b_x, b_y
 
 
-def decode_corners(b_x, b_y, t_w, t_h, p_w, p_h, input_n: int) -> tuple:
-    """Corners (x_min, y_min, x_max, y_max) of boxes centered at (b_x, b_y)
-    with size p * exp(t), clamped to [0, input_n]. Scalars or arrays."""
+def decode_corners(center, t_size, prior, input_n: int) -> np.ndarray:
+    """Corners (..., 4) as (x_min, y_min, x_max, y_max) of boxes at `center`
+    (x, y) with size `prior` (p_w, p_h) * exp(`t_size` (t_w, t_h)), clamped to
+    [0, input_n]. Each pair lies in the last axis; the other axes broadcast."""
     with np.errstate(over="ignore"):  # an infinite size clips to the frame
-        half_w = p_w * np.exp(t_w) / 2.0
-        half_h = p_h * np.exp(t_h) / 2.0
-    return tuple(np.minimum(np.maximum(edge, 0.0), float(input_n)) for edge in (
-        b_x - half_w, b_y - half_h, b_x + half_w, b_y + half_h))
+        half = prior * np.exp(t_size) / 2.0
+    corners = np.concatenate((center - half, center + half), axis=-1)
+    return np.minimum(np.maximum(corners, 0.0), float(input_n))
 
 
 def decode_box(raw: RawPrediction, anchor: Anchor, grid_n: int,
@@ -149,9 +149,9 @@ def decode_box(raw: RawPrediction, anchor: Anchor, grid_n: int,
     Center comes from the sigmoid cell offset, size from the anchor scaled
     by exp of the raw width/height outputs. Corners clamp to [0, input_n].
     """
-    b_x, b_y = decode_center(raw.t_x, raw.t_y, raw.cell, grid_n, input_n)
-    return BoxCorner(*map(float, decode_corners(
-        b_x, b_y, raw.t_w, raw.t_h, anchor.p_w, anchor.p_h, input_n)))
+    center = decode_center(raw.t_x, raw.t_y, raw.cell, grid_n, input_n)
+    return BoxCorner(*decode_corners(center, (raw.t_w, raw.t_h),
+                                     (anchor.p_w, anchor.p_h), input_n).tolist())
 
 
 def iou(a: BoxCorner, b: BoxCorner) -> float:

@@ -396,13 +396,12 @@ def rotate(sample: LabeledImage, degrees: float) -> LabeledImage:
     `_MIN_VISIBLE` of its original box area is dropped. A non-finite angle
     raises ValueError.
     """
-    deg = _finite_degrees(degrees) % 360.0
+    # a tiny negative angle wraps to 360.0 once; the second % takes it to 0
+    deg = _finite_degrees(degrees) % 360.0 % 360.0
     img = sample.image
     h, w = img.height, img.width
     if deg == 0.0 or (deg % 90.0 == 0.0 and h == w):
-        # k clockwise quarter turns; k is 4 when a tiny negative angle
-        # wraps to 360.0, which the map turns into the identity
-        k = int(deg // 90.0)
+        k = int(deg // 90.0)  # clockwise quarter turns
         return _mirror(sample, k % 2 == 1, k in (1, 2), k in (2, 3))
 
     theta = math.radians(deg)
@@ -460,7 +459,7 @@ def iter_expanded(samples: Iterable[LabeledImage], rotations: Sequence,
     angles = [_finite_degrees(angle) for angle in rotations] or [0.0]
     flips = [_flip_axis(axis) for axis in flips]
     for kind, values, turn, show in (
-            ("rotation", angles, lambda angle: angle % 360.0, _angle_tag),
+            ("rotation", angles, lambda angle: angle % 360.0 % 360.0, _angle_tag),
             ("flip axis", flips, str, repr)):
         for i, value in enumerate(values):
             if any(turn(value) == turn(v) or show(value) == show(v)

@@ -215,16 +215,16 @@ def _slot_cells(index, grids):
 
 @functools.lru_cache(maxsize=4)
 def _slot_geometry(grids: tuple, priors: tuple) -> np.ndarray:
-    """Grid row, column, stride and prior width and height of every slot
+    """Grid column, row, stride and prior width and height of every slot
     of heads with `grids` cells a side (fine to coarse) and `priors`
     ((p_w, p_h) pairs, three per head), one read-only row per slot as
-    `_slot_cells` numbers them. Cached: a frame takes its slots' rows
-    with one gather."""
+    `_slot_cells` numbers them, as `_decode_rows` reads them. Cached: a
+    frame takes its slots' rows with one gather."""
     scale, rows, cols, slot = _slot_cells(
         np.arange(3 * sum(g * g for g in grids)), grids)
     strides = grids[-1] * 32 / np.asarray(grids)[scale]
     table = np.column_stack(
-        (rows, cols, strides, np.array(priors)[3 * scale + slot]))
+        (cols, rows, strides, np.array(priors)[3 * scale + slot]))
     table.flags.writeable = False
     return table
 
@@ -291,13 +291,13 @@ def _score_arrays(objectness, fields):
     return class_id, class_score, objectness * class_score
 
 
-def _decode_rows(fields, rows, cols, strides, p_w, p_h, input_n):
-    """Corners (n, 4) of the boxes of prediction rows `fields` at grid
-    `rows` and `cols`, with their strides and prior widths and heights."""
-    b_x = (sigmoid(fields[:, 0]) + cols) * strides
-    b_y = (sigmoid(fields[:, 1]) + rows) * strides
-    return np.stack(decode_corners(b_x, b_y, fields[:, 2], fields[:, 3],
-                                   p_w, p_h, input_n), axis=1)
+def _decode_rows(fields, geometry, input_n):
+    """Corners (n, 4) of the boxes of prediction rows `fields` with their
+    `_slot_geometry` rows (column, row, stride, p_w, p_h) in `geometry`."""
+    center = np.column_stack((sigmoid(fields[:, 0]), sigmoid(fields[:, 1])))
+    center += geometry[:, :2]
+    center *= geometry[:, 2:3]
+    return decode_corners(center, fields[:, 2:4], geometry[:, 3:], input_n)
 
 
 def score_predictions(raws: list[RawPrediction],
@@ -311,13 +311,13 @@ def score_predictions(raws: list[RawPrediction],
             raise ShapeError("predictions mix different input sizes")
     fields = np.array([(r.t_x, r.t_y, r.t_w, r.t_h, r.objectness_logit,
                         *r.class_logits) for r in raws])
-    rows, cols, strides, p_w, p_h = np.array([
-        (*r.cell, r.input_n / r.grid_n, r.anchor.p_w, r.anchor.p_h)
-        for r in raws], dtype=np.float64).T
+    geometry = np.array([
+        (r.cell[1], r.cell[0], r.input_n / r.grid_n, r.anchor.p_w, r.anchor.p_h)
+        for r in raws], dtype=np.float64)
 
     objectness = sigmoid(fields[:, 4])
     class_id, class_score, confidence = _score_arrays(objectness, fields)
-    corners = _decode_rows(fields, rows, cols, strides, p_w, p_h, input_n)
+    corners = _decode_rows(fields, geometry, input_n)
     return list(Detections(class_id, objectness, class_score, confidence,
                            corners, class_names))
 
@@ -360,7 +360,7 @@ def _nms_engine(confidence: np.ndarray, corners: np.ndarray,
             pending_cls = cls[pending]
             suppress &= pending_cls[:block.size, None] == pending_cls
         # only the suppressions of later candidates can change a decision
-        later = suppress > np.tri(*suppress.shape, dtype=bool)
+        later = suppress & (block[:, None] < pending)
         removed = np.zeros(pending.size, dtype=bool)
         for r in np.flatnonzero(later.any(axis=1)).tolist():
             if not removed[r]:
@@ -478,7 +478,7 @@ def detect_frame(heads, anchors, config: DetectConfig,
     # only the rows whose confidence reaches the drop threshold need boxes
     hit = np.flatnonzero(confidence >= drop)
     geometry = _slot_geometry(grids, tuple((a.p_w, a.p_h) for a in anchors))
-    corners = _decode_rows(fields[hit], *geometry[live[hit]].T, input_n)
+    corners = _decode_rows(fields[hit], geometry[live[hit]], input_n)
     kept = _nms_engine(confidence[hit], corners, class_id[hit], drop, config.nms)
     keep = hit[kept]
     return Detections(class_id[keep], objectness[keep], class_score[keep],

@@ -435,6 +435,7 @@ def test_augment_rejects_a_non_finite_or_repeated_variant(tmp_path, capsys):
             ("90,-270", "", "repeated rotation -270"),
             ("90,450", "", "repeated rotation 450"),
             ("90,90.0000001", "", "repeated rotation 90"),
+            ("0,-1e-20", "", "repeated rotation -1e-20"),
             ("0,90", "v,h,vertical", "repeated flip axis 'vertical'"),
             ("0", "h,x", "axis must be 'horizontal' or 'vertical', got 'x'"),
             ("90,abc", "", "rotation 'abc' is not a number"))):

@@ -369,11 +369,18 @@ def test_rotation_composed_with_a_flip():
 
 
 def test_rotate_tiny_negative_angle_is_identity():
-    # -1e-20 % 360 is 360.0: four quarter turns, for pixels and labels
-    sample = make_sample([(0, BoxNorm(0.25, 0.5, 0.25, 0.125))], size=8)
-    out = rotate(sample, -1e-20)
-    assert out.image == sample.image
-    assert out.labels == sample.labels
+    # -1e-20 % 360 rounds to 360.0, which must turn as 0 does, pixels and
+    # labels alike: on a square canvas and on a non-square one, where a
+    # turn of 360 would resample
+    labels = [(0, BoxNorm(0.25, 0.5, 0.25, 0.125)),
+              (1, BoxNorm(0.5, 0.5, 0.5, 0.25))]
+    square = make_sample(labels, size=8)
+    wide = LabeledImage(Image(np.random.default_rng(3).integers(
+        0, 256, (32, 48, 3), dtype=np.uint8)), tuple(labels), "wide.ppm")
+    for sample in (square, wide):
+        out = rotate(sample, -1e-20)
+        assert out.image == sample.image
+        assert out.labels == sample.labels
 
 
 def test_rotate_45_centered_square_grows_sqrt2():
@@ -468,6 +475,8 @@ def test_iter_expanded_rejects_bad_variants_before_the_first():
             ([90.0, 450.0], [], "repeated rotation 450"),
             ([90, 90.0], [], "repeated rotation 90"),
             ([0.0, -0.0], [], "repeated rotation -0"),
+            # -1e-20 % 360 rounds to 360.0, which is 0 again modulo 360
+            ([0.0, -1e-20], [], "repeated rotation -1e-20"),
             # distinct angles that would share the file name `b_r90_fnone`
             ([90.0, 90.0000001], [], "repeated rotation 90"),
             ([0.0], ["horizontal", "diagonal"],

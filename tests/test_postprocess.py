@@ -13,8 +13,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from yolokit import postprocess
-from yolokit.boxes import (Anchor, BoxCorner, BoxNorm, iou, iou_one_to_many,
-                           norm_to_corner, sigmoid)
+from yolokit.boxes import (Anchor, BoxCorner, BoxNorm, decode_box, iou,
+                           iou_one_to_many, norm_to_corner, sigmoid)
 from yolokit.postprocess import (Detection, DetectConfig, NmsConfig,
                                  detect_frame, detections_to_json,
                                  extract_predictions, format_detection_line,
@@ -579,6 +579,55 @@ def test_the_raw_logit_prefilter_keeps_every_slot_the_sigmoid_test_keeps(drawn):
     assert fields.dtype == np.float64
     assert fields[:, 4].tobytes() == want.tobytes()
     assert objectness.tobytes() == sigmoid(want).tobytes()
+
+
+@st.composite
+def box_logits(draw):
+    """The heads of a 64 px frame (grids 8, 4 and 2, strides 8, 16 and 32)
+    as float32 or float64, with up to 8 slots' box logits drawn, often at
+    the grids' edge cells, size logits including ±inf and ±40; and nine
+    priors, YOLOv4's or drawn."""
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    logit = st.one_of(st.floats(-40.0, 40.0, width=np.finfo(dtype).bits),
+                      st.sampled_from([-40.0, 40.0, -np.inf, np.inf]))
+    arrays = [np.zeros((g, g, 18), dtype=dtype) for g in (8, 4, 2)]
+    index = set()
+    for _ in range(draw(st.integers(1, 8))):
+        scale = draw(st.integers(0, 2))
+        last = arrays[scale].shape[0] - 1
+        cell = st.one_of(st.sampled_from([0, last]), st.integers(0, last))
+        row, col, slot = draw(cell), draw(cell), draw(st.integers(0, 2))
+        arrays[scale][row, col, 6 * slot:6 * slot + 4] = draw(
+            st.tuples(*[logit] * 4))
+        index.add((0, 192, 240)[scale] + (row * (last + 1) + col) * 3 + slot)
+    side = st.floats(0.5, 700.0)
+    anchors = draw(st.one_of(st.just(NINE_ANCHORS), st.lists(
+        st.builds(Anchor, side, side), min_size=9, max_size=9)))
+    return arrays, np.array(sorted(index)), anchors
+
+
+@settings(max_examples=100, deadline=None)
+@given(box_logits())
+def test_decode_rows_equals_decode_box_bit_for_bit(drawn):
+    """`_decode_rows` on the drawn slots' `_slot_geometry` rows gives each
+    the corners that `decode_box` gives its RawPrediction, bit for bit
+    (the sign of zero too), from float32 and float64 heads."""
+    arrays, index, anchors = drawn
+    grids = (8, 4, 2)
+    scales = [postprocess._head_fields(arr, 1) for arr in arrays]
+    geometry = postprocess._slot_geometry(
+        grids, tuple((a.p_w, a.p_h) for a in anchors))
+    corners = postprocess._decode_rows(
+        postprocess._scale_rows(scales, index), geometry[index], 64)
+    raws = [raw for scale, arr in enumerate(arrays)
+            for raw in extract_predictions(
+                Tensor(arr), anchors[3 * scale:3 * scale + 3], 1, 64, scale)]
+    assert corners.shape == (index.size, 4)
+    for i, row in zip(index.tolist(), corners):
+        raw = raws[i]
+        box = decode_box(raw, raw.anchor, raw.grid_n, raw.input_n)
+        want = np.array((box.x_min, box.y_min, box.x_max, box.y_max))
+        assert want.tobytes() == row.tobytes(), (raw, box, row)
 
 
 def test_detect_frame_validation():
