@@ -19,12 +19,13 @@ __version__ = "0.1.0"
 # imported on first use (PEP 562), so `import yolokit.cfg` loads no other one.
 _EXPORTS = {
     "boxes": "Anchor BoxCorner BoxNorm RawPrediction corner_to_norm decode_box"
-             " decode_center iou norm_to_corner responsible_cell sigmoid",
-    "cfg": "CfgError NetCensus NetGraph census grid_sizes head_channels parse_cfg"
-           " propagate_shapes serialize_cfg total_grid_cells",
-    "data": "ClassRegistry Image LabeledImage aggregate_csv flip"
-            " generate_synthetic_scene read_ppm read_yolo_labels rotate write_ppm"
-            " write_yolo_labels",
+             " decode_center grid_sizes head_channels iou norm_to_corner"
+             " responsible_cell sigmoid total_grid_cells",
+    "cfg": "CfgError NetCensus NetGraph census parse_cfg propagate_shapes"
+           " serialize_cfg",
+    "records": "ClassRegistry",
+    "data": "Image LabeledImage aggregate_csv flip generate_synthetic_scene"
+            " read_ppm read_yolo_labels rotate write_ppm write_yolo_labels",
     "metrics": "EvalReport GroundTruth average_precision map_50_95 match_detections"
                " scenario_report",
     "postprocess": "Detection DetectConfig NmsConfig detect_frame extract_predictions"

@@ -99,8 +99,8 @@ class Anchor:
 class RawPrediction:
     """One anchor slot's unconstrained network outputs at one grid cell.
 
-    Carries its own anchor, grid size and input size so that scoring and
-    decoding need no side channel.
+    Carries its own anchor, grid size and input size, which scoring and
+    `decode_box` read, so neither needs a side channel.
     """
 
     t_x: float
@@ -110,7 +110,6 @@ class RawPrediction:
     objectness_logit: float
     class_logits: tuple = field(repr=False)
     cell: tuple  # (row, col)
-    scale_index: int
     anchor: Anchor
     grid_n: int
     input_n: int
@@ -142,16 +141,16 @@ def decode_corners(center, t_size, prior, input_n: int) -> np.ndarray:
     return np.minimum(np.maximum(corners, 0.0), float(input_n))
 
 
-def decode_box(raw: RawPrediction, anchor: Anchor, grid_n: int,
-               input_n: int) -> BoxCorner:
-    """Turn raw offsets into a pixel corner box.
+def decode_box(raw: RawPrediction) -> BoxCorner:
+    """Turn a prediction's raw offsets into a pixel corner box on its grid.
 
     Center comes from the sigmoid cell offset, size from the anchor scaled
     by exp of the raw width/height outputs. Corners clamp to [0, input_n].
     """
-    center = decode_center(raw.t_x, raw.t_y, raw.cell, grid_n, input_n)
+    center = decode_center(raw.t_x, raw.t_y, raw.cell, raw.grid_n, raw.input_n)
     return BoxCorner(*decode_corners(center, (raw.t_w, raw.t_h),
-                                     (anchor.p_w, anchor.p_h), input_n).tolist())
+                                     (raw.anchor.p_w, raw.anchor.p_h),
+                                     raw.input_n).tolist())
 
 
 def iou(a: BoxCorner, b: BoxCorner) -> float:

@@ -11,10 +11,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Mapping, Sequence
-
-# head and grid arithmetic lives with the grid geometry in boxes; public here too
-from .boxes import grid_sizes, head_channels, total_grid_cells
+from typing import Mapping
 
 _HEADER_RE = re.compile(r"^\[([^\[\]]+)\]$")
 
@@ -36,24 +33,22 @@ class LayerSpec:
     source_line: int
 
 
+@dataclass(frozen=True, slots=True, repr=False)
 class NetGraph:
     """Ordered layer list plus (once propagated) per-layer output shapes.
 
     `layers[0]` is always the net section; `shapes` aligns with `layers`
     and holds (height, width, channels) tuples, or None before shape
-    propagation.
+    propagation. Both are stored as tuples.
     """
 
-    __slots__ = ("layers", "shapes")
+    layers: tuple
+    shapes: tuple | None = None
 
-    def __init__(self, layers: Sequence[LayerSpec], shapes=None):
-        self.layers = tuple(layers)
-        self.shapes = tuple(shapes) if shapes is not None else None
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, NetGraph):
-            return NotImplemented
-        return (self.layers == other.layers and self.shapes == other.shapes)
+    def __post_init__(self):
+        object.__setattr__(self, "layers", tuple(self.layers))
+        if self.shapes is not None:
+            object.__setattr__(self, "shapes", tuple(self.shapes))
 
     def __repr__(self) -> str:
         return f"NetGraph({len(self.layers)} sections)"

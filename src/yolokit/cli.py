@@ -116,7 +116,8 @@ def _parse_flag(value: str) -> bool:
 
 # Each RunConfig field's (parse, format) pair, in canonical order.
 _RUN_CONFIG_KEYS = {
-    "anchors": (_parse_anchors, lambda v: ",".join(f"{a.p_w:g},{a.p_h:g}" for a in v)),
+    "anchors": (_parse_anchors, lambda v: ",".join(
+        f"{float(a.p_w)!r},{float(a.p_h)!r}" for a in v)),
     "objectness_threshold": (float, repr),
     "iou_threshold": (float, repr),
     "confidence_floor": (float, repr),

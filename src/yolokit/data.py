@@ -489,7 +489,7 @@ class ExpansionReport:
 
 
 def expansion_report(samples: Iterable[LabeledImage], registry,
-                     floor: int = 300) -> ExpansionReport:
+                     floor: int) -> ExpansionReport:
     """Count images containing each class; flag classes under the floor."""
     counts = {name: 0 for name in registry}
     for sample in samples:

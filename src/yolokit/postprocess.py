@@ -259,7 +259,8 @@ def extract_predictions(head: Tensor, anchors, num_classes: int,
 
     `anchors` is this scale's three priors. A head whose channel count
     disagrees with 3*(4+1+num_classes) is rejected, and so is a NaN
-    anywhere in it: every slot is scored downstream.
+    anywhere in it: every slot is scored downstream. `scale_index` is the
+    scale that a NaN's message names.
     """
     anchors = tuple(anchors)
     if len(anchors) != 3:
@@ -271,8 +272,7 @@ def extract_predictions(head: Tensor, anchors, num_classes: int,
     return [RawPrediction(
         t_x=vec[0], t_y=vec[1], t_w=vec[2], t_h=vec[3],
         objectness_logit=vec[4], class_logits=tuple(vec[5:]),
-        cell=(row, col), scale_index=scale_index,
-        anchor=anchors[i % 3], grid_n=grid_n, input_n=input_n,
+        cell=(row, col), anchor=anchors[i % 3], grid_n=grid_n, input_n=input_n,
     ) for i, (vec, row, col) in enumerate(zip(
         fields.tolist(), rows.tolist(), cols.tolist()))]
 

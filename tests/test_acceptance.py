@@ -14,9 +14,9 @@ import pytest
 
 from yolokit import cli, data, metrics, postprocess
 from yolokit.boxes import (BoxCorner, BoxNorm, RawPrediction, decode_box,
-                           decode_center, iou, norm_to_corner)
-from yolokit.cfg import (census, grid_sizes, head_channels, parse_cfg,
-                         propagate_shapes, serialize_cfg, total_grid_cells)
+                           decode_center, grid_sizes, head_channels, iou,
+                           norm_to_corner, total_grid_cells)
+from yolokit.cfg import census, parse_cfg, propagate_shapes, serialize_cfg
 from yolokit.postprocess import (DetectConfig, NmsConfig, detect_frame,
                                  extract_predictions, nms)
 from yolokit.tensor import ConvParams, ShapeError, Tensor, conv2d, csp_block, \
@@ -182,9 +182,8 @@ def test_c04_decode_equations():
         row = int(cells[i, 0] * grid_n)
         col = int(cells[i, 1] * grid_n)
         raw = RawPrediction(ts[i, 0], ts[i, 1], tws[i, 0], tws[i, 1],
-                            0.0, (0.0,), (row, col), int(picks[i]),
-                            anchor, grid_n, 416)
-        box = decode_box(raw, anchor, grid_n, 416)
+                            0.0, (0.0,), (row, col), anchor, grid_n, 416)
+        box = decode_box(raw)
         center = decode_center(raw.t_x, raw.t_y, raw.cell, grid_n, 416)
         _, _, clamped = decode_ref(raw.t_x, raw.t_y, raw.t_w, raw.t_h,
                                    row, col, grid_n, 416,

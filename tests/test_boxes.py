@@ -24,7 +24,7 @@ def make_raw(rng, grid_n, input_n, anchor, spread=6.0):
         t_w=float(rng.uniform(-3.0, 3.0)),
         t_h=float(rng.uniform(-3.0, 3.0)),
         objectness_logit=0.0, class_logits=(0.0,),
-        cell=(row, col), scale_index=0, anchor=anchor,
+        cell=(row, col), anchor=anchor,
         grid_n=grid_n, input_n=input_n)
 
 
@@ -237,7 +237,7 @@ def test_decode_box_matches_scalar_oracle():
         anchor = anchors[int(rng.integers(3))]
         raw = make_raw(rng, grid_n, input_n, anchor)
         raws.append(raw)
-        box = decode_box(raw, anchor, grid_n, input_n)
+        box = decode_box(raw)
         _, _, clamped = decode_ref(
             raw.t_x, raw.t_y, raw.t_w, raw.t_h, raw.cell[0], raw.cell[1],
             grid_n, input_n, anchor.p_w, anchor.p_h)
@@ -248,17 +248,17 @@ def test_decode_box_matches_scalar_oracle():
     for input_n in (416, 608):
         same = [raw for raw in raws if raw.input_n == input_n]
         for raw, det in zip(same, postprocess.score_predictions(same, ["c0"])):
-            assert det.box == decode_box(raw, raw.anchor, raw.grid_n, input_n)
+            assert det.box == decode_box(raw)
 
 
 def test_decode_box_clamps_to_frame():
     # exp(800) overflows to an infinite size, which clips without a warning
     for t_size in (5.0, 800.0):
-        raw = RawPrediction(0.0, 0.0, t_size, t_size, 0.0, (0.0,), (0, 0), 0,
+        raw = RawPrediction(0.0, 0.0, t_size, t_size, 0.0, (0.0,), (0, 0),
                             Anchor(459, 401), 13, 416)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            box = decode_box(raw, Anchor(459, 401), 13, 416)
+            box = decode_box(raw)
         assert box.x_min == 0.0 and box.y_min == 0.0
         assert box.x_max == 416.0 and box.y_max == 416.0
 

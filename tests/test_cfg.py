@@ -2,9 +2,9 @@
 
 import pytest
 
-from yolokit.cfg import (CfgError, census, grid_sizes, head_channels,
-                         parse_cfg, propagate_shapes, serialize_cfg,
-                         total_grid_cells)
+from yolokit.boxes import grid_sizes, head_channels, total_grid_cells
+from yolokit.cfg import (CfgError, NetGraph, census, parse_cfg,
+                         propagate_shapes, serialize_cfg)
 
 from oracles import cfg_shapes_ref, conv_params_ref, grid_cells_ref
 
@@ -203,6 +203,9 @@ def test_propagation_is_idempotent():
         NET_416 + "[convolutional]\nfilters=32\nsize=3\nstride=1\npad=1\n"))
     again = propagate_shapes(graph)
     assert again.shapes == graph.shapes
+    # list arguments are stored as the tuples that parsing gives
+    assert again == graph == NetGraph(list(graph.layers), list(graph.shapes))
+    assert type(again.layers) is type(again.shapes) is tuple
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from yolokit import cli, data, postprocess
 from yolokit.boxes import Anchor, BoxNorm
@@ -87,12 +88,23 @@ def test_head_bytes_errors():
 # ---------------------------------------------------------------------------
 # run configuration
 
-def test_run_config_round_trip():
-    config = cli.RunConfig(
-        objectness_threshold=0.3, iou_threshold=0.55, confidence_floor=0.6,
-        per_class_nms=True, seed=7)
+_SIDES = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+_UNIT = st.floats(0.0, 1.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.builds(
+    cli.RunConfig,
+    anchors=st.tuples(*[st.builds(Anchor, _SIDES, _SIDES)] * 9),
+    objectness_threshold=_UNIT, iou_threshold=_UNIT, confidence_floor=_UNIT,
+    per_class_nms=st.booleans(), seed=st.integers(0, 2**63)))
+@example(cli.RunConfig(
+    objectness_threshold=0.3, iou_threshold=0.55, confidence_floor=0.6,
+    per_class_nms=True, seed=7))
+@example(cli.RunConfig())
+def test_run_config_round_trip(config):
+    # every anchor dimension and threshold survives the text form exactly
     assert cli.parse_run_config(cli.format_run_config(config)) == config
-    assert cli.parse_run_config(cli.format_run_config(cli.RunConfig())) == cli.RunConfig()
 
 
 def test_run_config_parsing_details():

@@ -625,7 +625,7 @@ def test_decode_rows_equals_decode_box_bit_for_bit(drawn):
     assert corners.shape == (index.size, 4)
     for i, row in zip(index.tolist(), corners):
         raw = raws[i]
-        box = decode_box(raw, raw.anchor, raw.grid_n, raw.input_n)
+        box = decode_box(raw)
         want = np.array((box.x_min, box.y_min, box.x_max, box.y_max))
         assert want.tobytes() == row.tobytes(), (raw, box, row)
 
@@ -646,12 +646,12 @@ def test_detect_frame_validation():
 
 PUBLIC_NAMES = [
     "Anchor", "BoxCorner", "BoxNorm", "RawPrediction", "corner_to_norm",
-    "decode_box", "decode_center", "iou", "norm_to_corner", "responsible_cell",
-    "sigmoid",
-    "CfgError", "NetCensus", "NetGraph", "census", "grid_sizes",
-    "head_channels", "parse_cfg", "propagate_shapes", "serialize_cfg",
-    "total_grid_cells",
-    "ClassRegistry", "Image", "LabeledImage", "aggregate_csv",
+    "decode_box", "decode_center", "grid_sizes", "head_channels", "iou",
+    "norm_to_corner", "responsible_cell", "sigmoid", "total_grid_cells",
+    "CfgError", "NetCensus", "NetGraph", "census", "parse_cfg",
+    "propagate_shapes", "serialize_cfg",
+    "ClassRegistry",
+    "Image", "LabeledImage", "aggregate_csv",
     "flip", "generate_synthetic_scene", "read_ppm",
     "read_yolo_labels", "rotate", "write_ppm", "write_yolo_labels",
     "EvalReport", "GroundTruth", "average_precision", "map_50_95",
@@ -681,21 +681,40 @@ print(json.dumps([loaded, loaded_ctypes, yolokit.__all__, defined, modules,
                   sorted((set(yolokit.__all__) | set(modules)) - set(dir(yolokit)))]))
 """
 
+# Fresh interpreter: numpy and the yolokit submodules loaded after `{}`
+LOAD_PROBE = """
+import json, sys
+{}
+print(json.dumps(sorted(m for m in sys.modules
+                        if m == "numpy" or m.startswith("yolokit."))))
+"""
 
-def test_package_names_resolve_lazily_to_their_modules():
+
+def _probe(code):
     src = os.path.dirname(os.path.dirname(postprocess.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src, os.environ.get("PYTHONPATH", "")]))
-    out = subprocess.run([sys.executable, "-c", PACKAGE_PROBE], env=env,
+    out = subprocess.run([sys.executable, "-c", code], env=env,
                          stdout=subprocess.PIPE, check=True, timeout=60)
-    loaded, loaded_ctypes, public, defined, modules, unlisted = json.loads(out.stdout)
+    return json.loads(out.stdout)
+
+
+def test_package_names_resolve_lazily_to_their_modules():
+    loaded, loaded_ctypes, public, defined, modules, unlisted = _probe(PACKAGE_PROBE)
     assert loaded == []
     assert not loaded_ctypes
     assert public == PUBLIC_NAMES
     assert defined == PUBLIC_NAMES[:-1]
     assert len(modules) == 6
     assert unlisted == []
+    # each name resolves through the module that defines it, and nothing more
+    assert _probe(LOAD_PROBE.format("import yolokit.cfg")) == ["yolokit.cfg"]
+    assert _probe(LOAD_PROBE.format("import yolokit; yolokit.ClassRegistry")) == [
+        "yolokit.records"]
     import yolokit
+    for module, names in yolokit._EXPORTS.items():
+        for name in names.split():
+            assert getattr(yolokit, name).__module__ == f"yolokit.{module}", name
     assert yolokit.__version__ == "0.1.0"
     with pytest.raises(AttributeError, match="no attribute 'nope'"):
         yolokit.nope
