@@ -15,9 +15,10 @@ head tensors.
 Exit codes: 0 success, 1 evaluation found failures, 2 usage/parse error,
 3 I/O error. Data goes to stdout or files; diagnostics go to stderr.
 
-Each command imports the modules it runs when it runs: a `detect`
-process loads `postprocess`, `boxes`, `tensor` and `records`, and never
-`cfg`, `data` or `metrics`.
+Importing `cli` loads numpy, `postprocess`, `boxes`, `tensor` and
+`records`, which every command pays for, `netinfo` included. `cfg`,
+`data` and `metrics` load only inside the commands that run them, so a
+`detect` process never loads them.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ from .records import SCENARIOS, ClassRegistry
 from .tensor import ShapeError, Tensor
 
 HEAD_MAGIC = b"YF01"
+_HEAD_HEADER = struct.Struct("<4sII")  # magic, grid_n, channels
 
 DEFAULT_CLASS_NAMES = (
     "bolt", "nut", "washer", "gear", "bearing", "bracket", "spring",
@@ -57,20 +59,20 @@ _DETECT_DEFAULTS = postprocess.DetectConfig()  # RunConfig's threshold defaults
 def write_head_bytes(head: Tensor) -> bytes:
     if head.height != head.width:
         raise ShapeError(f"head must be square, got {head.height}x{head.width}")
-    header = HEAD_MAGIC + struct.pack("<II", head.height, head.channels)
+    header = _HEAD_HEADER.pack(HEAD_MAGIC, head.height, head.channels)
     return header + head.data.astype("<f4").tobytes()
 
 
 def read_head_bytes(blob: bytes) -> Tensor:
     if blob[:4] != HEAD_MAGIC:
         raise ValueError(f"bad magic {blob[:4]!r} (expected {HEAD_MAGIC!r})")
-    if len(blob) < 12:
+    if len(blob) < _HEAD_HEADER.size:
         raise ValueError("truncated header")
-    grid_n, channels = struct.unpack("<II", blob[4:12])
-    expect = 12 + grid_n * grid_n * channels * 4
+    _, grid_n, channels = _HEAD_HEADER.unpack_from(blob)
+    expect = _HEAD_HEADER.size + grid_n * grid_n * channels * 4
     if len(blob) != expect:
         raise ValueError(f"payload is {len(blob)} bytes, expected {expect}")
-    values = np.frombuffer(blob, dtype="<f4", offset=12)
+    values = np.frombuffer(blob, dtype="<f4", offset=_HEAD_HEADER.size)
     return Tensor(values.reshape(grid_n, grid_n, channels), copy=False)
 
 
@@ -574,7 +576,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"yolokit: I/O error: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, ShapeError) as exc:
+    except ValueError as exc:
         print(f"yolokit: {exc}", file=sys.stderr)
         return 2
 

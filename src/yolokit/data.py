@@ -19,6 +19,7 @@ import csv
 import io
 import math
 import os
+import re
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -88,6 +89,10 @@ class LabeledImage:
 # ---------------------------------------------------------------------------
 # PPM (P6, maxval 255)
 
+# skip whitespace and `#` comments, then take one token's non-space bytes
+_PPM_TOKEN = re.compile(rb"(?:\s|#[^\n]*)*(\S*)")
+
+
 def read_ppm(data: bytes) -> Image:
     """Parse a binary P6 PPM with maxval 255.
 
@@ -98,21 +103,11 @@ def read_ppm(data: bytes) -> Image:
 
     def token() -> bytes:
         nonlocal pos
-        while pos < n:
-            c = data[pos:pos + 1]
-            if c == b"#":
-                while pos < n and data[pos:pos + 1] != b"\n":
-                    pos += 1
-            elif c.isspace():
-                pos += 1
-            else:
-                break
-        start = pos
-        while pos < n and not data[pos:pos + 1].isspace():
-            pos += 1
-        if start == pos:
+        match = _PPM_TOKEN.match(data, pos)
+        pos = match.end()
+        if not match[1]:
             raise ValueError("truncated header")
-        return data[start:pos]
+        return match[1]
 
     magic = token()
     if magic != b"P6":

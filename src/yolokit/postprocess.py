@@ -330,10 +330,10 @@ _NMS_BLOCK_ELEMENTS = 1 << 15
 
 
 def _nms_engine(confidence: np.ndarray, corners: np.ndarray,
-                class_id: np.ndarray, drop: float, config: NmsConfig) -> np.ndarray:
-    """Greedy suppression over parallel arrays; returns kept indices in
-    pop order (descending confidence, ties to the lower original index)
-    among the candidates whose confidence reaches `drop`.
+                class_id: np.ndarray, config: NmsConfig) -> np.ndarray:
+    """Greedy suppression over parallel arrays of candidates; returns kept
+    indices in pop order (descending confidence, ties to the lower index).
+    The caller picks the candidates: every row given may be kept.
 
     Works on blocks of consecutive pending candidates in pop order: one
     broadcast gives each block row's IoU with every pending candidate,
@@ -343,9 +343,8 @@ def _nms_engine(confidence: np.ndarray, corners: np.ndarray,
     only the rows that suppress a later candidate: any other row is kept
     exactly when it is pending, and changes no later decision.
     """
-    candidates = np.flatnonzero(confidence >= drop)
     # stable sort on negated confidence = pop-max with lowest-index ties
-    order = candidates[np.argsort(-confidence[candidates], kind="stable")]
+    order = np.argsort(-confidence, kind="stable")
     boxes = corners[order].T
     cls = class_id[order]
     kept = [order[:0]]
@@ -373,10 +372,10 @@ def _nms_engine(confidence: np.ndarray, corners: np.ndarray,
 def nms(detections: list[Detection], config: NmsConfig) -> list[Detection]:
     """Greedy non-max suppression.
 
-    Detections under the drop threshold are removed; then the highest
-    confidence survivor is repeatedly emitted while every remaining
-    detection overlapping it with IoU >= iou_threshold is discarded.
-    Output order is emission (pop) order.
+    Only detections whose confidence reaches `config.objectness_threshold`
+    are candidates; the highest confidence candidate is repeatedly emitted
+    while every remaining one overlapping it with IoU >= iou_threshold is
+    discarded. Output order is emission (pop) order.
     """
     if not detections:
         return []
@@ -384,8 +383,8 @@ def nms(detections: list[Detection], config: NmsConfig) -> list[Detection]:
     corners = np.array([(d.box.x_min, d.box.y_min, d.box.x_max, d.box.y_max)
                         for d in detections])
     class_id = np.array([d.class_id for d in detections])
-    keep = _nms_engine(confidence, corners, class_id,
-                       config.objectness_threshold, config)
+    hit = np.flatnonzero(confidence >= config.objectness_threshold)
+    keep = hit[_nms_engine(confidence[hit], corners[hit], class_id[hit], config)]
     return [detections[i] for i in keep.tolist()]
 
 
@@ -396,6 +395,7 @@ def two_stage_filter(detections: list[Detection],
     return [d for d in detections if d.confidence >= confidence_floor]
 
 
+@functools.lru_cache(maxsize=8)
 def _logit_bound(drop: float) -> np.float32:
     """A float32 below which no logit's float64 `sigmoid` reaches `drop`.
 
@@ -479,7 +479,7 @@ def detect_frame(heads, anchors, config: DetectConfig,
     hit = np.flatnonzero(confidence >= drop)
     geometry = _slot_geometry(grids, tuple((a.p_w, a.p_h) for a in anchors))
     corners = _decode_rows(fields[hit], geometry[live[hit]], input_n)
-    kept = _nms_engine(confidence[hit], corners, class_id[hit], drop, config.nms)
+    kept = _nms_engine(confidence[hit], corners, class_id[hit], config.nms)
     keep = hit[kept]
     return Detections(class_id[keep], objectness[keep], class_score[keep],
                       confidence[keep], corners[kept], class_names)

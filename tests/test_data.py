@@ -5,6 +5,7 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from yolokit.boxes import BoxCorner, BoxNorm, norm_to_corner
 from yolokit.data import (COORD_GRID, CSV_HEADER, ClassRegistry, CsvRow,
@@ -113,6 +114,74 @@ def test_ppm_errors():
         read_ppm(b"P6\n0 2\n255\n")
     with pytest.raises(ValueError):
         read_ppm(b"P6\n2 x\n255\n" + img.pixels.tobytes())
+
+
+def read_ppm_bytewise(data: bytes) -> Image:
+    """Reference: a P6 reader that scans its header one byte at a time."""
+    pos = 0
+    n = len(data)
+
+    def token() -> bytes:
+        nonlocal pos
+        while pos < n:
+            c = data[pos:pos + 1]
+            if c == b"#":
+                while pos < n and data[pos:pos + 1] != b"\n":
+                    pos += 1
+            elif c.isspace():
+                pos += 1
+            else:
+                break
+        start = pos
+        while pos < n and not data[pos:pos + 1].isspace():
+            pos += 1
+        if start == pos:
+            raise ValueError("truncated header")
+        return data[start:pos]
+
+    magic = token()
+    if magic != b"P6":
+        raise ValueError(f"unsupported format {magic!r} (need binary P6)")
+    try:
+        width = int(token())
+        height = int(token())
+        maxval = int(token())
+    except ValueError as exc:
+        raise ValueError(f"bad header field: {exc}") from None
+    if width < 1 or height < 1:
+        raise ValueError(f"bad dimensions {width}x{height}")
+    if maxval != 255:
+        raise ValueError(f"unsupported maxval {maxval} (need 255)")
+    pos += 1
+    size = width * height * 3
+    if n - pos < size:
+        raise ValueError(
+            f"truncated payload: need {size} bytes, have {max(n - pos, 0)}")
+    arr = np.frombuffer(data, dtype=np.uint8, count=size, offset=pos)
+    return Image(arr.reshape(height, width, 3).copy())
+
+
+def ppm_outcome(read, data: bytes):
+    try:
+        return read(data)
+    except ValueError as exc:
+        return str(exc)
+
+
+PPM_TOKENS = st.sampled_from([
+    b"P6", b"P5", b"1", b"2", b"255", b"0", b"-1", b"x", b"1_0", b"9" * 30,
+    b"#c\n", b"# c 2", b"2#3", b"P6#"])
+PPM_SEPARATORS = st.sampled_from([b"", b" ", b"\t", b"\n", b"\r", b"\x0b", b"\x0c"])
+
+
+@settings(deadline=None, max_examples=400)
+@given(parts=st.lists(st.tuples(PPM_TOKENS, PPM_SEPARATORS), max_size=7),
+       tail=st.binary(max_size=16))
+@example(parts=[(b"P6", b"\r"), (b"#c\n", b""), (b"1", b"\x0b"), (b"1", b"\x0c"),
+                (b"255", b"\r")], tail=b"abc")
+def test_ppm_header_scan_matches_the_bytewise_reference(parts, tail):
+    data = b"".join(token + sep for token, sep in parts) + tail
+    assert ppm_outcome(read_ppm, data) == ppm_outcome(read_ppm_bytewise, data)
 
 
 # ---------------------------------------------------------------------------
