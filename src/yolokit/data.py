@@ -404,10 +404,12 @@ def rotate(sample: LabeledImage, degrees: float) -> LabeledImage:
     cx0, cy0 = w / 2.0, h / 2.0
 
     # inverse map: for each destination pixel center, rotate back by theta,
-    # one band of rows at a time so that the index arrays stay small
+    # one band of rows at a time so that the index arrays stay small; an
+    # index off the canvas is clipped onto the source's 1-px black border
     dx = np.arange(w) + 0.5 - cx0
     dy = (np.arange(h) + 0.5 - cy0)[:, None]
-    pixels = np.zeros_like(img.pixels)
+    source = np.pad(img.pixels, ((1, 1), (1, 1), (0, 0)))
+    pixels = np.empty_like(img.pixels)
     rows = max(1, _BAND_PIXELS // w)
     for top in range(0, h, rows):
         band = dy[top:top + rows]
@@ -415,20 +417,18 @@ def rotate(sample: LabeledImage, degrees: float) -> LabeledImage:
         # so the inverse uses the transpose
         src_x = np.floor(cos_t * dx + sin_t * band + cx0).astype(np.intp)
         src_y = np.floor(-sin_t * dx + cos_t * band + cy0).astype(np.intp)
-        valid = (0 <= src_x) & (src_x < w) & (0 <= src_y) & (src_y < h)
-        pixels[top:top + rows][valid] = img.pixels[src_y[valid], src_x[valid]]
+        pixels[top:top + rows] = source[np.clip(src_y, -1, h) + 1,
+                                        np.clip(src_x, -1, w) + 1]
 
     labels = []
     for cid, b in sample.labels:
         corner = norm_to_corner(b, w, h)
-        xs4 = np.array([corner.x_min, corner.x_max, corner.x_max, corner.x_min])
-        ys4 = np.array([corner.y_min, corner.y_min, corner.y_max, corner.y_max])
-        rx = cos_t * (xs4 - cx0) - sin_t * (ys4 - cy0) + cx0
-        ry = sin_t * (xs4 - cx0) + cos_t * (ys4 - cy0) + cy0
-        x_min = max(float(rx.min()), 0.0)
-        x_max = min(float(rx.max()), float(w))
-        y_min = max(float(ry.min()), 0.0)
-        y_max = min(float(ry.max()), float(h))
+        offsets = [(x - cx0, y - cy0) for x in (corner.x_min, corner.x_max)
+                   for y in (corner.y_min, corner.y_max)]
+        rx = [cos_t * x - sin_t * y + cx0 for x, y in offsets]
+        ry = [sin_t * x + cos_t * y + cy0 for x, y in offsets]
+        x_min, x_max = max(min(rx), 0.0), min(max(rx), float(w))
+        y_min, y_max = max(min(ry), 0.0), min(max(ry), float(h))
         if x_max <= x_min or y_max <= y_min:
             continue
         clipped_area = (x_max - x_min) * (y_max - y_min)

@@ -5,13 +5,13 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
-from yolokit.boxes import BoxCorner, BoxNorm, norm_to_corner
-from yolokit.data import (COORD_GRID, CSV_HEADER, ClassRegistry, CsvRow,
-                          Image, LabeledImage, PlacementError, aggregate_csv,
-                          class_shape, dataset_to_rows,
-                          expansion_report, flip, format_csv,
+from yolokit.boxes import BoxCorner, BoxNorm, corner_to_norm, norm_to_corner
+from yolokit.data import (_MIN_VISIBLE, COORD_GRID, CSV_HEADER,
+                          ClassRegistry, CsvRow, Image, LabeledImage,
+                          PlacementError, aggregate_csv, class_shape,
+                          dataset_to_rows, expansion_report, flip, format_csv,
                           generate_synthetic_scene, iter_expanded, parse_csv,
                           read_labelimg_corners, read_ppm, read_yolo_labels,
                           rotate, write_labelimg_corners, write_ppm,
@@ -504,6 +504,103 @@ def test_rotate_resamples_the_same_in_any_band_of_rows(monkeypatch, band_pixels)
     expected[valid] = arr[src_y[valid], src_x[valid]]
     assert np.array_equal(out.image.pixels, expected)
     assert out.labels == rotate(sample, 33.0).labels
+
+
+def rotate_masked_scatter(sample, degrees):
+    """The resampled path of `rotate` as a validity mask and a scatter into
+    a zero canvas, with each label's corners turned as one small array:
+    the earlier form of that path, kept as its reference."""
+    img = sample.image
+    h, w = img.height, img.width
+    theta = math.radians(degrees % 360.0 % 360.0)
+    cos_t, sin_t = math.cos(theta), math.sin(theta)
+    cx0, cy0 = w / 2.0, h / 2.0
+    dx = np.arange(w) + 0.5 - cx0
+    dy = (np.arange(h) + 0.5 - cy0)[:, None]
+    src_x = np.floor(cos_t * dx + sin_t * dy + cx0).astype(np.intp)
+    src_y = np.floor(-sin_t * dx + cos_t * dy + cy0).astype(np.intp)
+    valid = (0 <= src_x) & (src_x < w) & (0 <= src_y) & (src_y < h)
+    pixels = np.zeros_like(img.pixels)
+    pixels[valid] = img.pixels[src_y[valid], src_x[valid]]
+    labels = []
+    for cid, b in sample.labels:
+        corner = norm_to_corner(b, w, h)
+        xs4 = np.array([corner.x_min, corner.x_max, corner.x_max, corner.x_min])
+        ys4 = np.array([corner.y_min, corner.y_min, corner.y_max, corner.y_max])
+        rx = cos_t * (xs4 - cx0) - sin_t * (ys4 - cy0) + cx0
+        ry = sin_t * (xs4 - cx0) + cos_t * (ys4 - cy0) + cy0
+        x_min = max(float(rx.min()), 0.0)
+        x_max = min(float(rx.max()), float(w))
+        y_min = max(float(ry.min()), 0.0)
+        y_max = min(float(ry.max()), float(h))
+        if x_max <= x_min or y_max <= y_min:
+            continue
+        if (x_max - x_min) * (y_max - y_min) < _MIN_VISIBLE * corner.area:
+            continue
+        labels.append((cid, corner_to_norm(
+            BoxCorner(x_min, y_min, x_max, y_max), w, h)))
+    return Image(pixels), tuple(labels)
+
+
+def label_bits(labels):
+    return [(cid, tuple(float.hex(v) for v in (b.cx, b.cy, b.w, b.h)))
+            for cid, b in labels]
+
+
+GRID_LABEL = st.tuples(st.integers(0, 12), st.integers(0, COORD_GRID),
+                       st.integers(0, COORD_GRID), st.integers(1, COORD_GRID),
+                       st.integers(1, COORD_GRID))
+
+
+@settings(deadline=None, max_examples=300)
+@given(degrees=st.one_of(
+           st.floats(-720.0, 720.0),
+           st.sampled_from([1e-9, -1e-9, 90.0, 180.0, 270.0, -90.0, 450.0])),
+       h=st.integers(1, 40), w=st.integers(1, 40),
+       pixel_seed=st.integers(0, 2**32 - 1),
+       grid_labels=st.lists(GRID_LABEL, min_size=1, max_size=4))
+@example(degrees=90.0, h=3, w=7, pixel_seed=0,
+         grid_labels=[(0, 2048, 2048, 1024, 4096)])
+@example(degrees=-1e-9, h=1, w=1, pixel_seed=1,
+         grid_labels=[(1, 2048, 2048, 4096, 4096)])
+def test_rotate_resamples_as_the_masked_scatter_does(degrees, h, w, pixel_seed,
+                                                     grid_labels):
+    deg = degrees % 360.0 % 360.0
+    # 0 and quarter turns of a square canvas are exact permutations
+    assume(not (deg == 0.0 or (deg % 90.0 == 0.0 and h == w)))
+    pixels = np.random.default_rng(pixel_seed).integers(
+        0, 256, (h, w, 3), dtype=np.uint8)
+    labels = tuple((cid, BoxNorm(*(k / COORD_GRID for k in box)))
+                   for cid, *box in grid_labels)
+    sample = LabeledImage(Image(pixels), labels, "r.ppm")
+    out = rotate(sample, degrees)
+    image, expected = rotate_masked_scatter(sample, degrees)
+    assert out.image == image
+    assert label_bits(out.labels) == label_bits(expected)
+
+
+def test_rotated_labels_cover_all_of_their_parts(registry13):
+    # all-classes scenes at the default margin: every part has its own
+    # color, and parts near the border swing partly off the canvas, so
+    # some labels are clipped and some are dropped
+    scenes = []
+    seed = 0
+    while len(scenes) < 6:
+        try:
+            scenes.append(generate_synthetic_scene(
+                seed, registry13, count_range=(13, 13), min_gap=2.0))
+        except PlacementError:
+            pass
+        seed += 1
+    for scene in scenes:
+        for degrees in (15.0, 45.0, 137.5):
+            out = rotate(scene, degrees)
+            for cid, norm in out.labels:
+                corner = norm_to_corner(norm, 608, 608)
+                assert color_coverage_ref(
+                    out.image.pixels, class_shape(cid)[1],
+                    [(corner.x_min, corner.y_min, corner.x_max,
+                      corner.y_max)]) == 1.0, (scene.source_path, degrees, cid)
 
 
 def test_rotate_non_square_uses_resample_path():
