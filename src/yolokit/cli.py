@@ -7,10 +7,10 @@ ground truth), synth (scenario dataset generation), bench (post-processing
 latency).
 
 `encode`, `detect` and `bench` take a flat key=value run config with
-`--config`. Its six keys are the RunConfig fields: anchors, the three
-post-processing thresholds, per_class_nms and seed. The input size is
-not a setting: `encode` takes it from the images and `detect` from the
-head tensors.
+`--config`. Its four keys are the RunConfig fields: anchors,
+confidence_threshold (the one drop threshold), iou_threshold and
+per_class_nms. The input size is not a setting: `encode` takes it from
+the images and `detect` from the head tensors.
 
 Exit codes: 0 success, 1 evaluation found failures, 2 usage/parse error,
 3 I/O error. Data goes to stdout or files; diagnostics go to stderr.
@@ -81,26 +81,23 @@ def read_head_bytes(blob: bytes) -> Tensor:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Anchors, post-processing thresholds and the seed shared by
-    `encode`, `detect` and `bench`."""
+    """Anchors and post-processing settings shared by `encode`, `detect`
+    and `bench`; `confidence_threshold` is detect_frame's one drop threshold."""
 
     anchors: tuple = DEFAULT_ANCHORS
-    objectness_threshold: float = _DETECT_DEFAULTS.nms.objectness_threshold
+    confidence_threshold: float = max(_DETECT_DEFAULTS.nms.objectness_threshold,
+                                      _DETECT_DEFAULTS.confidence_floor)
     iou_threshold: float = _DETECT_DEFAULTS.nms.iou_threshold
-    confidence_floor: float = _DETECT_DEFAULTS.confidence_floor
     per_class_nms: bool = _DETECT_DEFAULTS.nms.per_class
-    seed: int = 0
 
     def __post_init__(self):
         postprocess.nine_anchors(self.anchors)
         self.detect_config()  # NmsConfig and DetectConfig check the thresholds
-        if self.seed < 0:
-            raise ValueError(f"seed must be at least 0, got {self.seed}")
 
     def detect_config(self) -> postprocess.DetectConfig:
-        nms = postprocess.NmsConfig(self.objectness_threshold, self.iou_threshold,
+        nms = postprocess.NmsConfig(self.confidence_threshold, self.iou_threshold,
                                     per_class=self.per_class_nms)
-        return postprocess.DetectConfig(nms, self.confidence_floor)
+        return postprocess.DetectConfig(nms, self.confidence_threshold)
 
 
 def _parse_anchors(value: str) -> tuple:
@@ -120,11 +117,9 @@ def _parse_flag(value: str) -> bool:
 _RUN_CONFIG_KEYS = {
     "anchors": (_parse_anchors, lambda v: ",".join(
         f"{float(a.p_w)!r},{float(a.p_h)!r}" for a in v)),
-    "objectness_threshold": (float, repr),
+    "confidence_threshold": (float, repr),
     "iou_threshold": (float, repr),
-    "confidence_floor": (float, repr),
     "per_class_nms": (_parse_flag, lambda flag: "1" if flag else "0"),
-    "seed": (int, str),
 }
 
 
@@ -446,7 +441,7 @@ def cmd_bench(args) -> int:
     config = _load_config(args)
     input_n = args.input
     num_classes = args.classes_count
-    rng = np.random.default_rng(config.seed)
+    rng = np.random.default_rng(0)
     frames = [_bench_frame(rng, num_classes, input_n, config.anchors)
               for _ in range(args.frames)]
     names = [f"c{i}" for i in range(num_classes)]

@@ -24,14 +24,15 @@ class ClassRegistry:
         if not names:
             raise ValueError("registry needs at least one class name")
         if len(set(names)) != len(names):
-            raise ValueError("class names must be unique")
+            duplicate = next(n for i, n in enumerate(names) if n in names[:i])
+            raise ValueError(f"duplicate class {duplicate!r}")
         if any(not n or n.split() != [n] for n in names):
             raise ValueError("class names must be non-empty, without whitespace")
         self.names = names
 
     @classmethod
     def from_text(cls, text: str) -> "ClassRegistry":
-        return cls([line.strip() for line in text.splitlines() if line.strip()])
+        return cls(read_records(text, 1, lambda parts: parts[0]))
 
     def to_text(self) -> str:
         return "".join(name + "\n" for name in self.names)

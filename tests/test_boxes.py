@@ -33,6 +33,9 @@ def make_raw(rng, grid_n, input_n, anchor, spread=6.0):
 
 def test_sigmoid_reference_points():
     assert sigmoid(0.0) == 0.5
+    # a 0-d array gives a float, as a scalar does
+    zero_d = sigmoid(np.array(0.0))
+    assert type(zero_d) is float and zero_d == 0.5
     assert abs(sigmoid(2.0) - sigmoid_ref(2.0)) < 1e-15
     assert abs(sigmoid(-2.0) - sigmoid_ref(-2.0)) < 1e-15
 

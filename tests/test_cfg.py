@@ -59,6 +59,14 @@ def test_parse_net_section_rules():
         parse_cfg(NET_416 + "[net]\nwidth=608\n")
     with pytest.raises(CfgError):
         parse_cfg("")
+    # a required key that is missing names its section's line
+    for text, message in (
+            ("[net]\nheight=32\n", "line 1: [net] missing required key 'width'"),
+            (NET_416 + "[convolutional]\nsize=1\n",
+             "line 5: [convolutional] missing required key 'filters'")):
+        with pytest.raises(CfgError) as err:
+            propagate_shapes(parse_cfg(text))
+        assert str(err.value) == message
 
 
 def test_serialize_round_trip():
@@ -121,6 +129,11 @@ def test_route_absolute_and_groups():
     graph = propagate_shapes(parse_cfg(text))
     assert graph.shapes[3] == (416, 416, 8)
     assert graph.shapes[4] == (416, 416, 4)
+    with pytest.raises(CfgError) as err:
+        propagate_shapes(parse_cfg(
+            NET_416 + "[convolutional]\nfilters=16\nsize=1\n"
+            "[route]\nlayers=-1\ngroups=3\n"))
+    assert str(err.value) == "line 8: [route] channels 16 not divisible by groups 3"
 
 
 def test_route_rejects_forward_and_self_references():
@@ -129,6 +142,10 @@ def test_route_rejects_forward_and_self_references():
             NET_416 + "[convolutional]\nfilters=8\nsize=1\n[route]\nlayers=1\n"))
     with pytest.raises(CfgError):
         propagate_shapes(parse_cfg(NET_416 + "[route]\nlayers=-1\n"))
+    with pytest.raises(CfgError) as err:
+        propagate_shapes(parse_cfg(
+            NET_416 + "[convolutional]\nfilters=8\nsize=1\n[route]\n"))
+    assert str(err.value) == "line 8: [route] missing 'layers'"
     # references that are not integers name the [route] line
     for layers in ("abc", "1.5", "", "-1,abc", "-1,1.5"):
         with pytest.raises(CfgError, match=r"^line 8: \[route\] key 'layers' "
@@ -161,6 +178,10 @@ def test_shortcut_requires_matching_shape():
            + "[shortcut]\nfrom=-2\n")
     with pytest.raises(CfgError):
         propagate_shapes(parse_cfg(bad))
+    with pytest.raises(CfgError) as err:
+        propagate_shapes(parse_cfg(
+            NET_416 + "[convolutional]\nfilters=8\nsize=1\n[shortcut]\n"))
+    assert str(err.value) == "line 8: [shortcut] missing required key 'from'"
 
 
 def test_upsample_and_unknown_kind():

@@ -96,11 +96,9 @@ _UNIT = st.floats(0.0, 1.0)
 @given(st.builds(
     cli.RunConfig,
     anchors=st.tuples(*[st.builds(Anchor, _SIDES, _SIDES)] * 9),
-    objectness_threshold=_UNIT, iou_threshold=_UNIT, confidence_floor=_UNIT,
-    per_class_nms=st.booleans(), seed=st.integers(0, 2**63)))
-@example(cli.RunConfig(
-    objectness_threshold=0.3, iou_threshold=0.55, confidence_floor=0.6,
-    per_class_nms=True, seed=7))
+    confidence_threshold=_UNIT, iou_threshold=_UNIT, per_class_nms=st.booleans()))
+@example(cli.RunConfig(confidence_threshold=0.6, iou_threshold=0.55,
+                       per_class_nms=True))
 @example(cli.RunConfig())
 def test_run_config_round_trip(config):
     # every anchor dimension and threshold survives the text form exactly
@@ -109,15 +107,15 @@ def test_run_config_round_trip(config):
 
 def test_run_config_parsing_details():
     text = ("# comment\n"
-            "seed = 416\n"
+            "confidence_threshold = 0.3\n"
             "anchors=1,2,3,4,5,6,7,8,9,10,11,12,13,14,15,16,17,18\n")
     config = cli.parse_run_config(text)
-    assert config.seed == 416
+    assert config.confidence_threshold == 0.3
     assert config.anchors[0] == Anchor(1.0, 2.0)
     with pytest.raises(ValueError):
-        cli.parse_run_config("seed\n")
+        cli.parse_run_config("confidence_threshold\n")
     with pytest.raises(ValueError):
-        cli.parse_run_config("seed=1\nseed=2\n")
+        cli.parse_run_config("iou_threshold=0.1\niou_threshold=0.2\n")
     with pytest.raises(ValueError):
         cli.parse_run_config("mystery=1\n")
     with pytest.raises(ValueError):
@@ -125,23 +123,69 @@ def test_run_config_parsing_details():
     assert cli.parse_run_config("per_class_nms=YES\n").per_class_nms
     assert not cli.parse_run_config("per_class_nms=False\n").per_class_nms
     for line in ("per_class_nms=on", "per_class_nms=2", "per_class_nms=",
-                 "seed=x", "seed=-5", "iou_threshold=abc", "iou_threshold=1.5",
-                 "confidence_floor=nan", "anchors=1,2", "anchors=1,2,x",
-                 "mystery=1", "seed", "objectness_threshold=0.5",
+                 "iou_threshold=abc", "iou_threshold=1.5",
+                 "confidence_threshold=nan", "confidence_threshold=1.5",
+                 "anchors=1,2", "anchors=1,2,x", "mystery=1",
+                 "confidence_threshold", "confidence_threshold=0.5",
+                 "seed=0", "objectness_threshold=0.5", "confidence_floor=0.5",
                  "classes=a.txt", "input_n=608", "rotations=90", "flips=h",
                  "anchors=nan,16,19,36,40,28,36,75,76,55,72,146,142,110,192,243,"
                  "459,401"):
         with pytest.raises(ValueError, match="config line 2"):
-            cli.parse_run_config(f"objectness_threshold=0.3\n{line}\n")
+            cli.parse_run_config(f"confidence_threshold=0.3\n{line}\n")
 
 
 def test_dump_config_round_trips_through_cli(tmp_path, capsys):
-    config = cli.RunConfig(per_class_nms=True, seed=3)
+    config = cli.RunConfig(confidence_threshold=0.3, per_class_nms=True)
     path = tmp_path / "run.cfg"
     path.write_text(cli.format_run_config(config))
     assert cli.main(["detect", "--config", str(path), "--dump-config"]) == 0
     out = capsys.readouterr().out
     assert cli.parse_run_config(out) == config
+    assert out.splitlines()[1] == "confidence_threshold=0.3"
+    assert len(out.splitlines()) == 4
+
+
+def test_one_confidence_threshold_reproduces_every_threshold_pair(tmp_path):
+    """detect_frame drops boxes below max(objectness_threshold,
+    confidence_floor), so confidence_threshold=max(a, b) gives the lines
+    of every pair (a, b)."""
+    names = ["bolt", "nut", "gear"]
+    labels = [(0, BoxNorm(0.3, 0.3, 0.2, 0.25)), (2, BoxNorm(0.7, 0.6, 0.4, 0.3))]
+    rng = np.random.default_rng(5)
+    heads = []
+    for head in postprocess.ground_truth_heads(labels, len(names), 64,
+                                               cli.DEFAULT_ANCHORS):
+        noisy = head.data + rng.normal(0.0, 2.0, head.data.shape)
+        # background objectness and class logits near zero: a dense gate
+        noisy.reshape(-1, 5 + len(names))[:, 4:] += 10.0
+        heads.append(cli.read_head_bytes(cli.write_head_bytes(Tensor(noisy))))
+    grid = (0.0, 0.1, 0.25, 0.3, 0.5, 0.9, 1.0)
+    outputs = set()
+    for a in grid:
+        for b in grid:
+            pair = postprocess.DetectConfig(postprocess.NmsConfig(a), b)
+            one = cli.parse_run_config(f"confidence_threshold={max(a, b)!r}\n")
+            lines = postprocess.format_detections(postprocess.detect_frame(
+                heads, cli.DEFAULT_ANCHORS, pair, names))
+            assert lines == postprocess.format_detections(postprocess.detect_frame(
+                heads, cli.DEFAULT_ANCHORS, one.detect_config(), names)), (a, b)
+            outputs.add(lines)
+    assert len(outputs) >= 3
+    # the same through the command line, for one pair
+    head_files = [tmp_path / f"frame.h{k}" for k in range(3)]
+    for path, head in zip(head_files, heads):
+        path.write_bytes(cli.write_head_bytes(head))
+    (tmp_path / "classes.txt").write_text("".join(n + "\n" for n in names))
+    (tmp_path / "run.cfg").write_text("confidence_threshold=0.3\n")
+    out = tmp_path / "frame.txt"
+    assert cli.main(["detect", "--config", str(tmp_path / "run.cfg"),
+                     "--heads", *map(str, head_files),
+                     "--classes", str(tmp_path / "classes.txt"), "--out", str(out)]) == 0
+    pair = postprocess.DetectConfig(postprocess.NmsConfig(0.3), 0.1)
+    expected = postprocess.format_detections(postprocess.detect_frame(
+        heads, cli.DEFAULT_ANCHORS, pair, names))
+    assert out.read_text() == expected and expected.count("\n") > 0
 
 
 # ---------------------------------------------------------------------------
@@ -510,6 +554,16 @@ def test_exit_code_two_on_parse_error(tmp_path, capsys):
                        "--out", str(tmp_path / "converted")])
         assert rc == 2
         assert capsys.readouterr().err == f"yolokit: {src / 'part.txt'}: {message}\n"
+    # a class list names its repeated class or its line of two names
+    classes = tmp_path / "classes.txt"
+    for text, message in (("bolt\nnut\nbolt\n", "duplicate class 'bolt'"),
+                          ("bolt\nhex nut\n", "line 2: expected 1 fields, got 2")):
+        classes.write_text(text)
+        rc = cli.main(["synth", "--scenario", "1", "--count", "1",
+                       "--classes", str(classes), "--out", str(tmp_path / "ds")])
+        assert rc == 2
+        assert capsys.readouterr().err == f"yolokit: {classes}: {message}\n"
+        assert not (tmp_path / "ds").exists()
 
 
 def test_exit_code_three_on_missing_file(tmp_path, capsys):
@@ -599,7 +653,7 @@ def test_usage_errors_exit_two(tmp_path, capsys):
     for argv in (["bench", "--config", str(config)],
                  ["detect", "--config", str(config), "--dump-config"]):
         assert cli.main(argv) == 2
-        assert ("run.cfg: config line 1: seed must be at least 0, got -5"
+        assert ("run.cfg: config line 1: unknown config key 'seed'"
                 in capsys.readouterr().err)
     ds = tiny_dataset(tmp_path / "truth")
     for value in ("nan", "1.5", "-1"):

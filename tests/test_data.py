@@ -78,6 +78,12 @@ def test_class_registry_text_round_trip():
     assert text == "bolt\nnut\ngear\n"
     assert ClassRegistry.from_text(text) == reg
     assert ClassRegistry.from_text("\n bolt \n\nnut\n") == ClassRegistry(["bolt", "nut"])
+    # a repeated name is named; a line of two names is numbered
+    for text, message in (("bolt\nnut\nbolt\n", "duplicate class 'bolt'"),
+                          ("bolt\nhex nut\n", "line 2: expected 1 fields, got 2")):
+        with pytest.raises(ValueError) as err:
+            ClassRegistry.from_text(text)
+        assert str(err.value) == message
 
 
 # ---------------------------------------------------------------------------
@@ -214,6 +220,9 @@ def test_yolo_labels_errors(registry13):
         read_yolo_labels("0 1.5 0.5 0.1 0.1\n", registry13)
     with pytest.raises(ValueError):
         read_yolo_labels("0 0.5 0.5 0.0 0.1\n", registry13)
+    with pytest.raises(ValueError) as err:
+        read_yolo_labels("0 0.5 x 0.1 0.1\n", registry13)
+    assert str(err.value) == "line 1: non-numeric coordinate"
     assert read_yolo_labels("\n   \n", registry13) == []
 
 
@@ -724,6 +733,11 @@ def test_scene_coordinates_are_quantized(registry13):
 def test_scene_placement_failure(registry13):
     with pytest.raises(PlacementError):
         generate_synthetic_scene(0, registry13, canvas=64, count_range=(3, 3))
+    # a scene has at least one part, and the range must not be empty
+    for count_range in ((0, 2), (5, 3)):
+        with pytest.raises(ValueError) as err:
+            generate_synthetic_scene(0, registry13, count_range=count_range)
+        assert str(err.value) == f"bad count_range {count_range}"
 
 
 def test_scene_class_pool(registry13):

@@ -723,8 +723,13 @@ def test_package_names_resolve_lazily_to_their_modules():
 def test_detector_rules_have_one_owner_and_keep_their_messages():
     from yolokit import cli, metrics
     assert cli.DEFAULT_ANCHORS is postprocess.DEFAULT_ANCHORS
-    config, defaults = cli.RunConfig(), DetectConfig()
-    assert config.detect_config() == defaults
+    config, defaults = cli.RunConfig().detect_config(), DetectConfig()
+    # the run config's one threshold is the drop threshold of the defaults
+    assert config == DetectConfig(NmsConfig(0.5), 0.5)
+    assert (max(config.nms.objectness_threshold, config.confidence_floor)
+            == max(defaults.nms.objectness_threshold, defaults.confidence_floor))
+    assert config.nms.iou_threshold == defaults.nms.iou_threshold
+    assert config.nms.per_class == defaults.nms.per_class
     for make, message in (
             (lambda: NmsConfig(objectness_threshold=1.5),
              "objectness_threshold 1.5 outside [0, 1]"),

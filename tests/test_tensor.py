@@ -97,6 +97,11 @@ def test_tensor_keeps_float32_and_widens_everything_else():
     narrow = np.arange(6, dtype=np.float32).reshape(1, 2, 3)
     kept = Tensor(narrow, copy=False)
     assert kept.data.dtype == np.float32 and np.shares_memory(kept.data, narrow)
+    # a strided view is stored as a C-contiguous copy, even with copy=False
+    reversed_view = Tensor(narrow[:, ::-1], copy=False)
+    assert reversed_view.data.flags.c_contiguous
+    assert not np.shares_memory(reversed_view.data, narrow)
+    assert reversed_view.data.tolist() == narrow[:, ::-1].tolist()
     assert Tensor(narrow).data.dtype == np.float32
     for dtype in (np.int32, np.int64, np.float16, np.float64):
         t = Tensor(np.arange(6, dtype=dtype).reshape(1, 2, 3))
