@@ -70,10 +70,10 @@ def _parse_value(text: str):
 
 
 def _format_value(value) -> str:
+    """A tuple comma-joined, anything else with `str`: a float as its
+    shortest repr, a float32 as its shortest float32 digits."""
     if isinstance(value, tuple):
         return ",".join(_format_value(v) for v in value)
-    if isinstance(value, float):
-        return repr(value)
     return str(value)
 
 

@@ -117,8 +117,8 @@ def _parse_flag(value: str) -> bool:
 _RUN_CONFIG_KEYS = {
     "anchors": (_parse_anchors, lambda v: ",".join(
         f"{float(a.p_w)!r},{float(a.p_h)!r}" for a in v)),
-    "confidence_threshold": (float, repr),
-    "iou_threshold": (float, repr),
+    "confidence_threshold": (float, str),
+    "iou_threshold": (float, str),
     "per_class_nms": (_parse_flag, lambda flag: "1" if flag else "0"),
 }
 
@@ -151,7 +151,8 @@ def parse_run_config(text: str) -> RunConfig:
 
 
 def format_run_config(config: RunConfig) -> str:
-    """Canonical config text; parse_run_config(format_run_config(c)) == c."""
+    """Canonical config text; parse_run_config(format_run_config(c)) == c.
+    Thresholds are written with `str`, a float32 as its shortest digits."""
     return "".join(f"{key}={fmt(getattr(config, key))}\n"
                    for key, (_, fmt) in _RUN_CONFIG_KEYS.items())
 
@@ -372,7 +373,7 @@ def cmd_eval(args) -> int:
         # list --detections, then read one image at a time, all after
         # scenario_report checks its arguments
         listed.update(name for name in os.listdir(args.detections)
-                      if name.endswith(".txt"))
+                      if name.endswith(".txt") and name != "classes.txt")
         for sample in truth:
             name = sample.stem + ".txt"
             paired.add(name)

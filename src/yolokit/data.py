@@ -21,7 +21,7 @@ import math
 import os
 import re
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -228,10 +228,10 @@ CSV_HEADER = ("filename", "width", "height", "class",
               "x_min", "y_min", "x_max", "y_max")
 
 
-@dataclass(frozen=True)
-class CsvRow:
-    """One bounding box of one image, pixel corners. The image is at least
-    1x1 and the corners are not inverted."""
+class CsvRow(NamedTuple):
+    """One box of one image in `CSV_HEADER`'s field order, pixel corners.
+    Construction checks nothing; `parse_csv` checks the rows it reads.
+    `format_csv` writes its numbers with `str`: a float32 0.1 as `0.1`."""
 
     filename: str
     width: int
@@ -241,11 +241,6 @@ class CsvRow:
     y_min: float
     x_max: float
     y_max: float
-
-    def __post_init__(self):
-        if self.width < 1 or self.height < 1:
-            raise ValueError(f"image size {self.width}x{self.height} is below 1x1")
-        BoxCorner(self.x_min, self.y_min, self.x_max, self.y_max)
 
 
 def dataset_to_rows(dataset: Iterable[LabeledImage], registry) -> list[CsvRow]:
@@ -264,15 +259,13 @@ def dataset_to_rows(dataset: Iterable[LabeledImage], registry) -> list[CsvRow]:
 
 
 def format_csv(rows: Sequence[CsvRow]) -> str:
-    """Header plus one row per box; shortest-repr floats so that
-    format(parse(format(x))) is byte-identical to format(x)."""
+    """Header plus one row per box, numbers written with `str`: a float's
+    shortest repr, so format(parse(format(x))) == format(x) byte for byte;
+    a float32 as its shortest digits, which read back as their float."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_HEADER)
-    for r in rows:
-        writer.writerow([r.filename, r.width, r.height, r.class_name,
-                         repr(r.x_min), repr(r.y_min),
-                         repr(r.x_max), repr(r.y_max)])
+    writer.writerows(rows)
     return buf.getvalue()
 
 
@@ -303,7 +296,11 @@ def parse_csv(text: str) -> list[CsvRow]:
         for record in filter(None, reader):
             if len(record) != len(CSV_HEADER):
                 raise ValueError(f"CSV row with {len(record)} fields: {record!r}")
-            rows.append(CsvRow(*map(_csv_field, CSV_HEADER, _CSV_KINDS, record)))
+            row = CsvRow(*map(_csv_field, CSV_HEADER, _CSV_KINDS, record))
+            if row.width < 1 or row.height < 1:
+                raise ValueError(f"image size {row.width}x{row.height} is below 1x1")
+            BoxCorner(*row[4:])  # raises on inverted corners
+            rows.append(row)
     except csv.Error as exc:
         raise ValueError(f"line {reader.line_num}: malformed CSV: {exc}") from None
     except ValueError as exc:

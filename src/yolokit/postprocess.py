@@ -377,8 +377,6 @@ def nms(detections: list[Detection], config: NmsConfig) -> list[Detection]:
     while every remaining one overlapping it with IoU >= iou_threshold is
     discarded. Output order is emission (pop) order.
     """
-    if not detections:
-        return []
     confidence = np.array([d.confidence for d in detections])
     corners = np.array([(d.box.x_min, d.box.y_min, d.box.x_max, d.box.y_max)
                         for d in detections])

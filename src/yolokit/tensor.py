@@ -265,8 +265,6 @@ def spp_block(input: Tensor, pool_sizes: Iterable[int] = (5, 9, 13)) -> Tensor:
         if size % 2 == 0:
             raise ShapeError(f"pool size {size} is even; SPP needs odd sizes")
         slabs.append(max_pool(input, size, 1, (size - 1) // 2).data)
-    if len(slabs) == 1:
-        return input
     return Tensor(np.concatenate(slabs, axis=2), copy=False)
 
 

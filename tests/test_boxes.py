@@ -133,6 +133,12 @@ def test_iou_degenerate_boxes_are_empty():
     point = BoxCorner(1.0, 1.0, 1.0, 1.0)
     assert iou(point, point) == 0.0
     assert iou(point, BoxCorner(0.0, 0.0, 4.0, 4.0)) == 0.0
+    # both overlaps are positive, but the intersection and both areas
+    # underflow to 0.0, so only the zero-union rule keeps this finite
+    corners = (0.0, 0.0, 1e-200, 1e-200)
+    tiny = BoxCorner(*corners)
+    assert iou(tiny, tiny) == 0.0
+    assert iou_one_to_many(corners, *np.array(corners)[:, None]).tolist() == [0.0]
 
 
 def test_iou_symmetric_and_matches_exact_fractions():

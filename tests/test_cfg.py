@@ -1,9 +1,10 @@
 """Network description parsing, shape propagation and the census."""
 
+import numpy as np
 import pytest
 
 from yolokit.boxes import grid_sizes, head_channels, total_grid_cells
-from yolokit.cfg import (CfgError, NetGraph, census, parse_cfg,
+from yolokit.cfg import (CfgError, LayerSpec, NetGraph, census, parse_cfg,
                          propagate_shapes, serialize_cfg)
 
 from oracles import cfg_shapes_ref, conv_params_ref, grid_cells_ref
@@ -78,6 +79,17 @@ def test_serialize_round_trip():
     assert [(s.kind, dict(s.attributes)) for s in reparsed.layers] == \
         [(s.kind, dict(s.attributes)) for s in graph.layers]
     assert serialize_cfg(reparsed) == out
+    # NumPy scalars are written as plain numbers and read back as floats
+    for as_number in (np.float64, np.float32):
+        attributes = {"width": 416, "height": 416, "momentum": as_number(0.9),
+                      "scales": (as_number(0.1), as_number(0.1))}
+        out = serialize_cfg(NetGraph([LayerSpec("net", attributes, 1)]))
+        attrs = parse_cfg(out).layers[0].attributes
+        assert type(attrs["momentum"]) is float
+        assert {type(v) for v in attrs["scales"]} == {float}
+        assert serialize_cfg(parse_cfg(out)) == out
+        if as_number is np.float64:
+            assert attrs == attributes
 
 
 # ---------------------------------------------------------------------------

@@ -100,9 +100,21 @@ _UNIT = st.floats(0.0, 1.0)
 @example(cli.RunConfig(confidence_threshold=0.6, iou_threshold=0.55,
                        per_class_nms=True))
 @example(cli.RunConfig())
+@example(cli.RunConfig(confidence_threshold=np.float64(0.3),
+                       iou_threshold=np.float64(0.45)))
+@example(cli.RunConfig(confidence_threshold=np.float32(0.3),
+                       iou_threshold=np.float32(0.45)))
 def test_run_config_round_trip(config):
-    # every anchor dimension and threshold survives the text form exactly
-    assert cli.parse_run_config(cli.format_run_config(config)) == config
+    text = cli.format_run_config(config)
+    parsed = cli.parse_run_config(text)
+    assert type(parsed.confidence_threshold) is type(parsed.iou_threshold) is float
+    assert cli.format_run_config(parsed) == text
+    if isinstance(config.confidence_threshold, np.float32):
+        # a float32 is written as its shortest digits and read as their float
+        assert (parsed.confidence_threshold, parsed.iou_threshold) == (0.3, 0.45)
+    else:
+        # every anchor dimension and threshold survives the text form exactly
+        assert parsed == config
 
 
 def test_run_config_parsing_details():
@@ -351,12 +363,14 @@ def test_eval_names_detection_files_without_truth(tmp_path, capsys):
     (dets / "stray.txt").write_text("")
     (dets / "other.txt").write_text("")
     (dets / "notes.md").write_text("")
+    (dets / "classes.txt").write_text((ds / "classes.txt").read_text())
     assert cli.main(argv) == rc
     captured = capsys.readouterr()
     assert captured.out == clean.out
     line, = captured.err.splitlines()
     assert "other.txt, stray.txt" in line
     assert "part.txt" not in line and "notes.md" not in line
+    assert "classes.txt" not in line
 
 
 def test_eval_checks_its_arguments_before_reading_detections(tmp_path, capsys):

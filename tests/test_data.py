@@ -269,6 +269,16 @@ def test_labelimg_round_trip(registry13):
     text = write_labelimg_corners(labels, registry13)
     assert text == "bolt 1.25 2.5 30.0 40.75\n"
     assert read_labelimg_corners(text, (100, 100), registry13) == labels
+    # NumPy corners read back as floats, and a second write is the same bytes
+    for as_number in (np.float64, np.float32):
+        labels = [(0, BoxCorner(*map(as_number, (1.1, 2.5, 30.3, 40.75))))]
+        text = write_labelimg_corners(labels, registry13)
+        back = read_labelimg_corners(text, (100, 100), registry13)
+        box = back[0][1]
+        assert {type(v) for v in (box.x_min, box.y_min, box.x_max, box.y_max)} == {float}
+        assert write_labelimg_corners(back, registry13) == text
+        if as_number is np.float64:
+            assert back == labels
 
 
 # ---------------------------------------------------------------------------
@@ -295,13 +305,23 @@ def test_csv_three_images_seven_lines(registry13):
 
 
 def test_csv_second_write_byte_identical(registry13):
-    samples = [make_sample([(3, BoxNorm(0.3, 0.3, 0.2, 0.1))], name="z.ppm"),
-               make_sample([(7, BoxNorm(0.7, 0.1, 0.05, 0.05))], name="a.ppm")]
-    text = format_csv(dataset_to_rows(samples, registry13))
-    again = format_csv(parse_csv(text))
-    assert again == text
-    # rows come out sorted by filename
-    assert parse_csv(text)[0].filename == "a.ppm"
+    # label values as Python floats, then from NumPy float64 and float32 arrays
+    for dtype in (None, np.float64, np.float32):
+        values = np.array([[0.3, 0.3, 0.2, 0.1], [0.7, 0.1, 0.05, 0.05]], dtype)
+        if dtype is None:
+            values = values.tolist()
+        samples = [make_sample([(3, BoxNorm(*values[0]))], name="z.ppm"),
+                   make_sample([(7, BoxNorm(*values[1]))], name="a.ppm")]
+        rows = dataset_to_rows(samples, registry13)
+        text = format_csv(rows)
+        parsed = parse_csv(text)
+        assert format_csv(parsed) == text
+        assert {type(v) for r in parsed
+                for v in (r.x_min, r.y_min, r.x_max, r.y_max)} == {float}
+        if dtype is not np.float32:
+            assert parsed == rows
+        # rows come out sorted by filename
+        assert parsed[0].filename == "a.ppm"
 
 
 def test_csv_parse_errors():

@@ -272,6 +272,7 @@ def test_nms_walk_of_the_rows_that_suppress_matches_brute_force(
 
 def test_nms_empty():
     assert nms([], NmsConfig()) == []
+    assert nms([], NmsConfig(per_class=True)) == []
 
 
 # ---------------------------------------------------------------------------

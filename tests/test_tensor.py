@@ -159,6 +159,11 @@ def test_conv_params_rejects_bad_geometry():
         ConvParams(w, b, pad=-1)
     with pytest.raises(ValueError):
         ConvParams(w, b, activation="relu")
+    # attributes can be assigned after construction; conv2d still rejects it
+    p = ConvParams(w, b)
+    p.activation = "relu"
+    with pytest.raises(ValueError, match="^unknown activation 'relu'$"):
+        conv2d(Tensor(np.zeros((1, 1, 1))), p)
 
 
 def test_conv_params_identity():
