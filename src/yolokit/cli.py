@@ -7,18 +7,18 @@ ground truth), synth (scenario dataset generation), bench (post-processing
 latency).
 
 `encode`, `detect` and `bench` take a flat key=value run config with
-`--config`. Its four keys are the RunConfig fields: anchors,
-confidence_threshold (the one drop threshold), iou_threshold and
+`--config`. Its four keys are the `postprocess.RunConfig` fields:
+anchors, confidence_threshold (the one drop threshold), iou_threshold and
 per_class_nms. The input size is not a setting: `encode` takes it from
 the images and `detect` from the head tensors.
 
 Exit codes: 0 success, 1 evaluation found failures, 2 usage/parse error,
 3 I/O error. Data goes to stdout or files; diagnostics go to stderr.
 
-Importing `cli` loads numpy, `postprocess`, `boxes`, `tensor` and
-`records`, which every command pays for, `netinfo` included. `cfg`,
-`data` and `metrics` load only inside the commands that run them, so a
-`detect` process never loads them.
+Importing `cli` loads `records` and no numpy. Each command imports the
+modules it runs inside its own body, so `netinfo` adds only `cfg` and
+loads no numpy, and a `detect` process never loads `cfg`, `data` or
+`metrics`.
 """
 
 from __future__ import annotations
@@ -28,19 +28,15 @@ import os
 import struct
 import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
-
-from . import postprocess
-from .boxes import Anchor, BoxNorm, corner_to_norm, norm_to_corner, total_grid_cells
-from .postprocess import DEFAULT_ANCHORS
 from .records import SCENARIOS, ClassRegistry
-from .tensor import ShapeError, Tensor
 
 HEAD_MAGIC = b"YF01"
 _HEAD_HEADER = struct.Struct("<4sII")  # magic, grid_n, channels
+
+CLASSES_FILE = "classes.txt"  # a dataset directory's class list
 
 DEFAULT_CLASS_NAMES = (
     "bolt", "nut", "washer", "gear", "bearing", "bracket", "spring",
@@ -49,21 +45,28 @@ DEFAULT_CLASS_NAMES = (
 
 SCENARIO_BY_NUMBER = dict(enumerate(SCENARIOS, start=1))
 
-_DETECT_DEFAULTS = postprocess.DetectConfig()  # RunConfig's threshold defaults
+
+def __getattr__(name):
+    if name == "DEFAULT_ANCHORS":  # loads postprocess on first use (PEP 562)
+        from .postprocess import DEFAULT_ANCHORS
+        return DEFAULT_ANCHORS
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 # ---------------------------------------------------------------------------
 # Binary head-tensor format: magic, grid_n and channels as little-endian
 # u32, then float32 values in (row, column, channel) order.
 
-def write_head_bytes(head: Tensor) -> bytes:
+def write_head_bytes(head) -> bytes:
     if head.height != head.width:
+        from .tensor import ShapeError
         raise ShapeError(f"head must be square, got {head.height}x{head.width}")
     header = _HEAD_HEADER.pack(HEAD_MAGIC, head.height, head.channels)
     return header + head.data.astype("<f4").tobytes()
 
 
-def read_head_bytes(blob: bytes) -> Tensor:
+def read_head_bytes(blob: bytes):
+    """The Tensor of a head blob, a read-only float32 view of `blob`."""
     if blob[:4] != HEAD_MAGIC:
         raise ValueError(f"bad magic {blob[:4]!r} (expected {HEAD_MAGIC!r})")
     if len(blob) < _HEAD_HEADER.size:
@@ -72,92 +75,15 @@ def read_head_bytes(blob: bytes) -> Tensor:
     expect = _HEAD_HEADER.size + grid_n * grid_n * channels * 4
     if len(blob) != expect:
         raise ValueError(f"payload is {len(blob)} bytes, expected {expect}")
+    import numpy as np
+    from .tensor import Tensor
     values = np.frombuffer(blob, dtype="<f4", offset=_HEAD_HEADER.size)
     return Tensor(values.reshape(grid_n, grid_n, channels), copy=False)
 
 
-# ---------------------------------------------------------------------------
-# Flat key=value run configuration
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Anchors and post-processing settings shared by `encode`, `detect`
-    and `bench`; `confidence_threshold` is detect_frame's one drop threshold."""
-
-    anchors: tuple = DEFAULT_ANCHORS
-    confidence_threshold: float = max(_DETECT_DEFAULTS.nms.objectness_threshold,
-                                      _DETECT_DEFAULTS.confidence_floor)
-    iou_threshold: float = _DETECT_DEFAULTS.nms.iou_threshold
-    per_class_nms: bool = _DETECT_DEFAULTS.nms.per_class
-
-    def __post_init__(self):
-        postprocess.nine_anchors(self.anchors)
-        self.detect_config()  # NmsConfig and DetectConfig check the thresholds
-
-    def detect_config(self) -> postprocess.DetectConfig:
-        nms = postprocess.NmsConfig(self.confidence_threshold, self.iou_threshold,
-                                    per_class=self.per_class_nms)
-        return postprocess.DetectConfig(nms, self.confidence_threshold)
-
-
-def _parse_anchors(value: str) -> tuple:
-    nums = [float(v) for v in value.split(",")]
-    if len(nums) != 18:
-        raise ValueError(f"anchors needs 18 numbers, got {len(nums)}")
-    return tuple(Anchor(nums[i], nums[i + 1]) for i in range(0, 18, 2))
-
-
-def _parse_flag(value: str) -> bool:
-    if value.lower() not in ("0", "1", "false", "true", "no", "yes"):
-        raise ValueError(f"per_class_nms must be 0/1/true/false/yes/no, got {value!r}")
-    return value.lower() in ("1", "true", "yes")
-
-
-# Each RunConfig field's (parse, format) pair, in canonical order.
-_RUN_CONFIG_KEYS = {
-    "anchors": (_parse_anchors, lambda v: ",".join(
-        f"{float(a.p_w)!r},{float(a.p_h)!r}" for a in v)),
-    "confidence_threshold": (float, str),
-    "iou_threshold": (float, str),
-    "per_class_nms": (_parse_flag, lambda flag: "1" if flag else "0"),
-}
-
-
-def parse_run_config(text: str) -> RunConfig:
-    """Parse `key=value` lines (#-comments allowed) into a RunConfig.
-
-    Keys are the RunConfig field names. Every error is a ValueError that
-    names its config line.
-    """
-    config = RunConfig()
-    seen = set()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        try:
-            if "=" not in line:
-                raise ValueError(f"expected key=value, got {line!r}")
-            key, _, value = (part.strip() for part in line.partition("="))
-            if key in seen:
-                raise ValueError(f"duplicate key {key!r}")
-            seen.add(key)
-            if key not in _RUN_CONFIG_KEYS:
-                raise ValueError(f"unknown config key {key!r}")
-            config = replace(config, **{key: _RUN_CONFIG_KEYS[key][0](value)})
-        except ValueError as exc:
-            raise ValueError(f"config line {lineno}: {exc}") from None
-    return config
-
-
-def format_run_config(config: RunConfig) -> str:
-    """Canonical config text; parse_run_config(format_run_config(c)) == c.
-    Thresholds are written with `str`, a float32 as its shortest digits."""
-    return "".join(f"{key}={fmt(getattr(config, key))}\n"
-                   for key, (_, fmt) in _RUN_CONFIG_KEYS.items())
-
-
-def _load_config(args) -> RunConfig:
+def _load_config(args):
+    """The `--config` file's RunConfig, or the default one."""
+    from .postprocess import RunConfig, parse_run_config
     return _load(args.config, parse_run_config) if args.config else RunConfig()
 
 
@@ -185,11 +111,11 @@ def _write_text(path: str, text: str) -> None:
 
 
 def _load_dataset_dir(directory: str):
-    """A dataset directory's classes.txt and an iterator over its
+    """A dataset directory's CLASSES_FILE and an iterator over its
     <stem>.ppm/<stem>.txt pairs in name order, which reads one pair per
     step (a missing label file means an unlabeled image)."""
     from . import data
-    registry = _load(os.path.join(directory, "classes.txt"), ClassRegistry.from_text)
+    registry = _load(os.path.join(directory, CLASSES_FILE), ClassRegistry.from_text)
     names = sorted(name for name in os.listdir(directory) if name.endswith(".ppm"))
 
     def samples():
@@ -206,12 +132,12 @@ def _load_dataset_dir(directory: str):
 
 
 def _write_dataset_dir(directory: str, registry, samples) -> list:
-    """Write classes.txt plus <stem>.ppm/<stem>.txt for each LabeledImage
+    """Write CLASSES_FILE plus <stem>.ppm/<stem>.txt for each LabeledImage
     of `samples`, as `_load_dataset_dir` reads them. Returns the labels
     only, so that a long stream of samples never sits in memory."""
     from . import data
     os.makedirs(directory, exist_ok=True)
-    _write_text(os.path.join(directory, "classes.txt"), registry.to_text())
+    _write_text(os.path.join(directory, CLASSES_FILE), registry.to_text())
     written = []
     for sample in samples:
         with open(os.path.join(directory, sample.stem + ".ppm"), "wb") as fh:
@@ -268,6 +194,7 @@ def cmd_netinfo(args) -> int:
 
 
 def cmd_augment(args) -> int:
+    import numpy as np
     from . import data
     registry, samples = _load_dataset_dir(args.dataset)
     rotations = args.rotations.split(",") if args.rotations else []
@@ -293,12 +220,12 @@ def cmd_augment(args) -> int:
 def cmd_labels_convert(args) -> int:
     if args.src == args.dst:
         raise ValueError(f"--from and --to are both {args.src}; nothing to convert")
-    from . import data
+    from . import boxes, data
     registry = _load(args.classes, ClassRegistry.from_text)
     os.makedirs(args.out, exist_ok=True)
     converted = 0
     for name in sorted(os.listdir(args.dir)):
-        if not name.endswith(".txt") or name == "classes.txt":
+        if not name.endswith(".txt") or name == CLASSES_FILE:
             continue
         stem = os.path.splitext(name)[0]
         image = _load(os.path.join(args.dir, stem + ".ppm"), data.read_ppm, binary=True)
@@ -307,12 +234,13 @@ def cmd_labels_convert(args) -> int:
         if args.src == "labelimg":
             # converted inside the loader: a box YOLO cannot hold names the file
             out_text = _load(label_path, lambda text: data.write_yolo_labels(
-                (cid, corner_to_norm(box, w, h))
+                (cid, boxes.corner_to_norm(box, w, h))
                 for cid, box in data.read_labelimg_corners(text, (w, h), registry)))
         else:
             labels = _load(label_path, data.read_yolo_labels, registry)
             out_text = data.write_labelimg_corners(
-                ((cid, norm_to_corner(box, w, h)) for cid, box in labels), registry)
+                ((cid, boxes.norm_to_corner(box, w, h)) for cid, box in labels),
+                registry)
         _write_text(os.path.join(args.out, name), out_text)
         converted += 1
     print(f"converted {converted} label files to {args.out}")
@@ -327,6 +255,7 @@ def cmd_labels_csv(args) -> int:
 
 
 def cmd_encode(args) -> int:
+    from . import postprocess
     config = _load_config(args)
     registry, samples = _load_dataset_dir(args.dataset)
     os.makedirs(args.out, exist_ok=True)
@@ -349,9 +278,10 @@ def cmd_encode(args) -> int:
 
 
 def cmd_detect(args) -> int:
+    from . import postprocess
     config = _load_config(args)
     if args.dump_config:
-        sys.stdout.write(format_run_config(config))
+        sys.stdout.write(postprocess.format_run_config(config))
         return 0
     registry = _load(args.classes, ClassRegistry.from_text)
     heads = [_load(p, read_head_bytes, binary=True) for p in args.heads]
@@ -365,7 +295,7 @@ def cmd_detect(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    from . import metrics
+    from . import boxes, metrics, postprocess
     registry, truth = _load_dataset_dir(args.truth)
     listed, paired = set(), set()
 
@@ -373,12 +303,12 @@ def cmd_eval(args) -> int:
         # list --detections, then read one image at a time, all after
         # scenario_report checks its arguments
         listed.update(name for name in os.listdir(args.detections)
-                      if name.endswith(".txt") and name != "classes.txt")
+                      if name.endswith(".txt") and name != CLASSES_FILE)
         for sample in truth:
             name = sample.stem + ".txt"
             paired.add(name)
             gts = [metrics.GroundTruth(
-                norm_to_corner(box, sample.image.width, sample.image.height), cid)
+                boxes.norm_to_corner(box, sample.image.width, sample.image.height), cid)
                 for cid, box in sample.labels]
             dets = (_load(os.path.join(args.detections, name),
                           postprocess.parse_detection_lines, registry.names)
@@ -425,20 +355,23 @@ def _bench_frame(rng, num_classes: int, input_n: int, anchors):
     """Head tensors shaped like a trained detector's output: a few hot
     object slots over a quiet background, with unit Gaussian noise on
     every logit."""
+    from . import boxes, postprocess, tensor
     labels = []
     for _ in range(int(rng.integers(3, 9))):
         w = float(rng.uniform(0.05, 0.3))
         h = float(rng.uniform(0.05, 0.3))
         cx = float(rng.uniform(w / 2, 1.0 - w / 2))
         cy = float(rng.uniform(h / 2, 1.0 - h / 2))
-        labels.append((int(rng.integers(num_classes)), BoxNorm(cx, cy, w, h)))
+        labels.append((int(rng.integers(num_classes)), boxes.BoxNorm(cx, cy, w, h)))
     heads = postprocess.ground_truth_heads(labels, num_classes, input_n, anchors)
     return tuple(
-        Tensor(head.data + rng.normal(0.0, 1.0, head.data.shape), copy=False)
+        tensor.Tensor(head.data + rng.normal(0.0, 1.0, head.data.shape), copy=False)
         for head in heads)
 
 
 def cmd_bench(args) -> int:
+    import numpy as np
+    from . import boxes, postprocess
     config = _load_config(args)
     input_n = args.input
     num_classes = args.classes_count
@@ -454,7 +387,7 @@ def cmd_bench(args) -> int:
             heads, config.anchors, det_config, names))
         timings.append((time.perf_counter() - start) * 1000.0)
     timings.sort()
-    candidates = total_grid_cells(input_n) * 3
+    candidates = boxes.total_grid_cells(input_n) * 3
     p50 = timings[len(timings) // 2]
     p99 = timings[min(len(timings) - 1, int(len(timings) * 0.99))]
     print(f"frames: {args.frames}  candidates/frame: {candidates}")

@@ -215,9 +215,10 @@ def read_labelimg_corners(text: str, image_dims: tuple[int, int],
 
 
 def write_labelimg_corners(labels: Iterable[tuple[int, BoxCorner]], registry) -> str:
-    """Inverse of read_labelimg_corners (shortest-repr floats)."""
+    """Inverse of read_labelimg_corners; numbers are written with `str`,
+    a float32 as its shortest digits."""
     return "".join(
-        f"{registry[cid]} {b.x_min} {b.y_min} {b.x_max} {b.y_max}\n"
+        " ".join(map(str, (registry[cid], b.x_min, b.y_min, b.x_max, b.y_max))) + "\n"
         for cid, b in labels)
 
 

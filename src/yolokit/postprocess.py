@@ -37,6 +37,10 @@ only when a caller indexes, iterates or compares it, and
 Both paths reject a NaN objectness logit, and a NaN in any row they
 score, with one ValueError that names the scale, cell, slot and channel.
 Infinite logits are legal.
+
+`RunConfig` holds the anchors and thresholds of the `encode`, `detect`
+and `bench` commands, starting from `DetectConfig`'s defaults, and
+`parse_run_config` and `format_run_config` its key=value text.
 """
 
 from __future__ import annotations
@@ -44,7 +48,7 @@ from __future__ import annotations
 import functools
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -179,6 +183,87 @@ class DetectConfig:
 
     def __post_init__(self):
         check_unit_interval("confidence_floor", self.confidence_floor)
+
+
+_DETECT_DEFAULTS = DetectConfig()  # RunConfig's threshold defaults
+
+
+@dataclass(frozen=True)
+class RunConfig:
+    """Anchors and post-processing settings shared by `encode`, `detect`
+    and `bench`; `confidence_threshold` is detect_frame's one drop threshold."""
+
+    anchors: tuple = DEFAULT_ANCHORS
+    confidence_threshold: float = max(_DETECT_DEFAULTS.nms.objectness_threshold,
+                                      _DETECT_DEFAULTS.confidence_floor)
+    iou_threshold: float = _DETECT_DEFAULTS.nms.iou_threshold
+    per_class_nms: bool = _DETECT_DEFAULTS.nms.per_class
+
+    def __post_init__(self):
+        nine_anchors(self.anchors)
+        self.detect_config()  # NmsConfig and DetectConfig check the thresholds
+
+    def detect_config(self) -> DetectConfig:
+        nms = NmsConfig(self.confidence_threshold, self.iou_threshold,
+                        per_class=self.per_class_nms)
+        return DetectConfig(nms, self.confidence_threshold)
+
+
+def _parse_anchors(value: str) -> tuple:
+    nums = [float(v) for v in value.split(",")]
+    if len(nums) != 18:
+        raise ValueError(f"anchors needs 18 numbers, got {len(nums)}")
+    return tuple(Anchor(nums[i], nums[i + 1]) for i in range(0, 18, 2))
+
+
+def _parse_flag(value: str) -> bool:
+    if value.lower() not in ("0", "1", "false", "true", "no", "yes"):
+        raise ValueError(f"per_class_nms must be 0/1/true/false/yes/no, got {value!r}")
+    return value.lower() in ("1", "true", "yes")
+
+
+# Each RunConfig field's (parse, format) pair, in canonical order.
+_RUN_CONFIG_KEYS = {
+    "anchors": (_parse_anchors, lambda v: ",".join(
+        f"{float(a.p_w)!r},{float(a.p_h)!r}" for a in v)),
+    "confidence_threshold": (float, str),
+    "iou_threshold": (float, str),
+    "per_class_nms": (_parse_flag, lambda flag: "1" if flag else "0"),
+}
+
+
+def parse_run_config(text: str) -> RunConfig:
+    """Parse `key=value` lines (#-comments allowed) into a RunConfig.
+
+    Keys are the RunConfig field names. Every error is a ValueError that
+    names its config line.
+    """
+    config = RunConfig()
+    seen = set()
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        try:
+            if "=" not in line:
+                raise ValueError(f"expected key=value, got {line!r}")
+            key, _, value = (part.strip() for part in line.partition("="))
+            if key in seen:
+                raise ValueError(f"duplicate key {key!r}")
+            seen.add(key)
+            if key not in _RUN_CONFIG_KEYS:
+                raise ValueError(f"unknown config key {key!r}")
+            config = replace(config, **{key: _RUN_CONFIG_KEYS[key][0](value)})
+        except ValueError as exc:
+            raise ValueError(f"config line {lineno}: {exc}") from None
+    return config
+
+
+def format_run_config(config: RunConfig) -> str:
+    """Canonical config text; parse_run_config(format_run_config(c)) == c.
+    Thresholds are written with `str`, a float32 as its shortest digits."""
+    return "".join(f"{key}={fmt(getattr(config, key))}\n"
+                   for key, (_, fmt) in _RUN_CONFIG_KEYS.items())
 
 
 def _head_fields(head: np.ndarray, num_classes: int):

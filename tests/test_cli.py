@@ -94,21 +94,21 @@ _UNIT = st.floats(0.0, 1.0)
 
 @settings(max_examples=200, deadline=None)
 @given(st.builds(
-    cli.RunConfig,
+    postprocess.RunConfig,
     anchors=st.tuples(*[st.builds(Anchor, _SIDES, _SIDES)] * 9),
     confidence_threshold=_UNIT, iou_threshold=_UNIT, per_class_nms=st.booleans()))
-@example(cli.RunConfig(confidence_threshold=0.6, iou_threshold=0.55,
-                       per_class_nms=True))
-@example(cli.RunConfig())
-@example(cli.RunConfig(confidence_threshold=np.float64(0.3),
-                       iou_threshold=np.float64(0.45)))
-@example(cli.RunConfig(confidence_threshold=np.float32(0.3),
-                       iou_threshold=np.float32(0.45)))
+@example(postprocess.RunConfig(confidence_threshold=0.6, iou_threshold=0.55,
+                               per_class_nms=True))
+@example(postprocess.RunConfig())
+@example(postprocess.RunConfig(confidence_threshold=np.float64(0.3),
+                               iou_threshold=np.float64(0.45)))
+@example(postprocess.RunConfig(confidence_threshold=np.float32(0.3),
+                               iou_threshold=np.float32(0.45)))
 def test_run_config_round_trip(config):
-    text = cli.format_run_config(config)
-    parsed = cli.parse_run_config(text)
+    text = postprocess.format_run_config(config)
+    parsed = postprocess.parse_run_config(text)
     assert type(parsed.confidence_threshold) is type(parsed.iou_threshold) is float
-    assert cli.format_run_config(parsed) == text
+    assert postprocess.format_run_config(parsed) == text
     if isinstance(config.confidence_threshold, np.float32):
         # a float32 is written as its shortest digits and read as their float
         assert (parsed.confidence_threshold, parsed.iou_threshold) == (0.3, 0.45)
@@ -121,19 +121,19 @@ def test_run_config_parsing_details():
     text = ("# comment\n"
             "confidence_threshold = 0.3\n"
             "anchors=1,2,3,4,5,6,7,8,9,10,11,12,13,14,15,16,17,18\n")
-    config = cli.parse_run_config(text)
+    config = postprocess.parse_run_config(text)
     assert config.confidence_threshold == 0.3
     assert config.anchors[0] == Anchor(1.0, 2.0)
     with pytest.raises(ValueError):
-        cli.parse_run_config("confidence_threshold\n")
+        postprocess.parse_run_config("confidence_threshold\n")
     with pytest.raises(ValueError):
-        cli.parse_run_config("iou_threshold=0.1\niou_threshold=0.2\n")
+        postprocess.parse_run_config("iou_threshold=0.1\niou_threshold=0.2\n")
     with pytest.raises(ValueError):
-        cli.parse_run_config("mystery=1\n")
+        postprocess.parse_run_config("mystery=1\n")
     with pytest.raises(ValueError):
-        cli.parse_run_config("anchors=1,2\n")
-    assert cli.parse_run_config("per_class_nms=YES\n").per_class_nms
-    assert not cli.parse_run_config("per_class_nms=False\n").per_class_nms
+        postprocess.parse_run_config("anchors=1,2\n")
+    assert postprocess.parse_run_config("per_class_nms=YES\n").per_class_nms
+    assert not postprocess.parse_run_config("per_class_nms=False\n").per_class_nms
     for line in ("per_class_nms=on", "per_class_nms=2", "per_class_nms=",
                  "iou_threshold=abc", "iou_threshold=1.5",
                  "confidence_threshold=nan", "confidence_threshold=1.5",
@@ -144,16 +144,16 @@ def test_run_config_parsing_details():
                  "anchors=nan,16,19,36,40,28,36,75,76,55,72,146,142,110,192,243,"
                  "459,401"):
         with pytest.raises(ValueError, match="config line 2"):
-            cli.parse_run_config(f"confidence_threshold=0.3\n{line}\n")
+            postprocess.parse_run_config(f"confidence_threshold=0.3\n{line}\n")
 
 
 def test_dump_config_round_trips_through_cli(tmp_path, capsys):
-    config = cli.RunConfig(confidence_threshold=0.3, per_class_nms=True)
+    config = postprocess.RunConfig(confidence_threshold=0.3, per_class_nms=True)
     path = tmp_path / "run.cfg"
-    path.write_text(cli.format_run_config(config))
+    path.write_text(postprocess.format_run_config(config))
     assert cli.main(["detect", "--config", str(path), "--dump-config"]) == 0
     out = capsys.readouterr().out
-    assert cli.parse_run_config(out) == config
+    assert postprocess.parse_run_config(out) == config
     assert out.splitlines()[1] == "confidence_threshold=0.3"
     assert len(out.splitlines()) == 4
 
@@ -177,7 +177,7 @@ def test_one_confidence_threshold_reproduces_every_threshold_pair(tmp_path):
     for a in grid:
         for b in grid:
             pair = postprocess.DetectConfig(postprocess.NmsConfig(a), b)
-            one = cli.parse_run_config(f"confidence_threshold={max(a, b)!r}\n")
+            one = postprocess.parse_run_config(f"confidence_threshold={max(a, b)!r}\n")
             lines = postprocess.format_detections(postprocess.detect_frame(
                 heads, cli.DEFAULT_ANCHORS, pair, names))
             assert lines == postprocess.format_detections(postprocess.detect_frame(
@@ -680,21 +680,24 @@ def test_usage_errors_exit_two(tmp_path, capsys):
 # ---------------------------------------------------------------------------
 # import closure
 
-# Fresh interpreter: the yolokit submodules that `import yolokit.cli` loads,
-# the exit code of `cli.main(argv)` for the JSON argv given, and the
-# submodules loaded after it, as the last stdout line.
+# Fresh interpreter: the yolokit submodules, and numpy when it is loaded,
+# after `import yolokit.cli`, the exit code of `cli.main(argv)` for the
+# JSON argv given, and the same list after it, as the last stdout line.
 CLI_PROBE = """
 import json, sys
 import yolokit.cli
 def loaded():
-    return sorted(m for m in sys.modules if m.startswith("yolokit."))
+    return sorted(m for m in sys.modules
+                  if m == "numpy" or m.startswith("yolokit."))
 before = loaded()
 code = yolokit.cli.main(json.loads(sys.argv[1]))
 print(json.dumps([before, code, loaded()]))
 """
 
-CLI_CLOSURE = ["yolokit.boxes", "yolokit.cli", "yolokit.postprocess",
-               "yolokit.records", "yolokit.tensor"]
+CLI_CLOSURE = ["yolokit.cli", "yolokit.records"]
+
+# what a detect process adds to CLI_CLOSURE
+DETECT_MODULES = ["numpy", "yolokit.boxes", "yolokit.postprocess", "yolokit.tensor"]
 
 
 def fresh_cli(argv):
@@ -733,7 +736,7 @@ def test_a_detect_process_loads_only_the_modules_detect_runs(walkthrough, tmp_pa
              "--out", str(tmp_path / name), *flag])
         assert before == CLI_CLOSURE
         assert code == 0
-        assert after == CLI_CLOSURE
+        assert after == sorted(CLI_CLOSURE + DETECT_MODULES)
     assert (tmp_path / "detect.txt").read_bytes() == (
         dets / "scene_000005.txt").read_bytes()
     assert cli.main(["detect", "--classes", str(ds / "classes.txt"), "--json",
@@ -744,8 +747,8 @@ def test_a_detect_process_loads_only_the_modules_detect_runs(walkthrough, tmp_pa
 
 @pytest.mark.parametrize("command, extra", [
     ("netinfo", ["yolokit.cfg"]),
-    ("synth", ["yolokit.data"]),
-    ("eval", ["yolokit.data", "yolokit.metrics"]),
+    ("synth", ["numpy", "yolokit.boxes", "yolokit.data"]),
+    ("eval", DETECT_MODULES + ["yolokit.data", "yolokit.metrics"]),
 ])
 def test_each_command_runs_from_a_fresh_process(walkthrough, tmp_path, command, extra):
     ds, _, dets = walkthrough

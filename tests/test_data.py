@@ -273,6 +273,8 @@ def test_labelimg_round_trip(registry13):
     for as_number in (np.float64, np.float32):
         labels = [(0, BoxCorner(*map(as_number, (1.1, 2.5, 30.3, 40.75))))]
         text = write_labelimg_corners(labels, registry13)
+        # written with `str`, as format_csv writes: a float32 as its shortest digits
+        assert text == "bolt 1.1 2.5 30.3 40.75\n"
         back = read_labelimg_corners(text, (100, 100), registry13)
         box = back[0][1]
         assert {type(v) for v in (box.x_min, box.y_min, box.x_max, box.y_max)} == {float}

@@ -42,8 +42,9 @@ PARSERS = {
     "detections": (lambda text: postprocess.parse_detection_lines(text, NAMES),
                    "line", record_blank,
                    ("gear 0.75 16 16 48 40", "nut 1.0 0 0 64 48")),
-    "config": (cli.parse_run_config, "config line", config_blank,
-               tuple(cli.format_run_config(cli.RunConfig()).splitlines())),
+    "config": (postprocess.parse_run_config, "config line", config_blank,
+               tuple(postprocess.format_run_config(
+                   postprocess.RunConfig()).splitlines())),
 }
 
 TOKENS = st.sampled_from([

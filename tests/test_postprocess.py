@@ -724,7 +724,7 @@ def test_package_names_resolve_lazily_to_their_modules():
 def test_detector_rules_have_one_owner_and_keep_their_messages():
     from yolokit import cli, metrics
     assert cli.DEFAULT_ANCHORS is postprocess.DEFAULT_ANCHORS
-    config, defaults = cli.RunConfig().detect_config(), DetectConfig()
+    config, defaults = postprocess.RunConfig().detect_config(), DetectConfig()
     # the run config's one threshold is the drop threshold of the defaults
     assert config == DetectConfig(NmsConfig(0.5), 0.5)
     assert (max(config.nms.objectness_threshold, config.confidence_floor)
@@ -740,7 +740,8 @@ def test_detector_rules_have_one_owner_and_keep_their_messages():
             (lambda: two_stage_filter([], 2.0), "confidence_floor 2.0 outside [0, 1]"),
             (lambda: metrics.scenario_report([], "all-classes", 1.5),
              "error_iou_threshold 1.5 outside [0, 1]"),
-            (lambda: cli.RunConfig(anchors=NINE_ANCHORS[:8]), "need 9 anchors, got 8"),
+            (lambda: postprocess.RunConfig(anchors=NINE_ANCHORS[:8]),
+             "need 9 anchors, got 8"),
             (lambda: detect_frame(ground_truth_heads([], 2, 64, NINE_ANCHORS),
                                   NINE_ANCHORS * 2, defaults, ["a", "b"]),
              "need 9 anchors, got 18"),
