@@ -3,8 +3,9 @@
 Commands: netinfo (cfg census), augment (dataset expansion), labels
 (format conversion and CSV aggregation), encode (ground-truth head
 tensors), detect (head tensors to detection lines), eval (detections vs
-ground truth), synth (scenario dataset generation), bench (post-processing
-latency).
+ground truth), synth (scenario dataset generation, each scene from
+`data.scenario_scene`), bench (post-processing latency). `synth` and
+`eval` take one `--scenario`: a number from 1 or a SCENARIOS name.
 
 `encode`, `detect` and `bench` take a flat key=value run config with
 `--config`. Its four keys are the `postprocess.RunConfig` fields:
@@ -42,8 +43,6 @@ DEFAULT_CLASS_NAMES = (
     "bolt", "nut", "washer", "gear", "bearing", "bracket", "spring",
     "clip", "rivet", "spacer", "flange", "dowel", "shim",
 )
-
-SCENARIO_BY_NUMBER = dict(enumerate(SCENARIOS, start=1))
 
 
 def __getattr__(name):
@@ -209,7 +208,7 @@ def cmd_augment(args) -> int:
         registry, floor=args.floor)
     print(f"wrote {len(written)} images to {args.out}")
     for name in registry:
-        marker = "" if report.per_class[name] >= args.floor else "  BELOW FLOOR"
+        marker = "  BELOW FLOOR" if name in report.below_floor else ""
         print(f"{name}: {report.per_class[name]}{marker}")
     if report.below_floor:
         print(f"classes below the {args.floor}-image floor: "
@@ -315,11 +314,7 @@ def cmd_eval(args) -> int:
                     if name in listed else [])
             yield dets, gts
 
-    try:  # a number names the scenario at that position
-        scenario = SCENARIO_BY_NUMBER.get(int(args.scenario), int(args.scenario))
-    except ValueError:
-        scenario = args.scenario
-    report = metrics.scenario_report(samples(), scenario, args.iou)
+    report = metrics.scenario_report(samples(), args.scenario, args.iou)
     orphans = sorted(listed - paired)
     if orphans:
         print("no truth image for " + ", ".join(orphans), file=sys.stderr)
@@ -333,21 +328,10 @@ def cmd_synth(args) -> int:
     from . import data
     registry = (_load(args.classes, ClassRegistry.from_text) if args.classes
                 else ClassRegistry(DEFAULT_CLASS_NAMES))
-    scenario = SCENARIO_BY_NUMBER[args.scenario]
-    n = len(registry)
-    # scene i's count range, minimum gap and class pool (default: every class)
-    layout = {
-        "single-class": lambda i: dict(count_range=(3, 6), min_gap=4.0,
-                                       class_pool=[i % n]),
-        "multi-class-group": lambda i: dict(
-            count_range=(4, 4), min_gap=1.0,
-            class_pool=[(i + k) % n for k in range(4)]),
-        "all-classes": lambda i: dict(count_range=(n, n), min_gap=2.0),
-    }[scenario]
     _write_dataset_dir(args.out, registry, (
-        data.generate_synthetic_scene(args.seed + i, registry, **layout(i))
+        data.scenario_scene(args.scenario, i, args.seed + i, registry)
         for i in range(args.count)))
-    print(f"wrote {args.count} {scenario} scenes to {args.out}")
+    print(f"wrote {args.count} {args.scenario} scenes to {args.out}")
     return 0
 
 
@@ -410,6 +394,13 @@ def _int_at_least(minimum: int):
     return parse
 
 
+def _add_scenario(parser, **kwargs) -> None:
+    """`--scenario`: a number from 1 or a name of SCENARIOS, stored as the name."""
+    numbers = {str(k): name for k, name in enumerate(SCENARIOS, start=1)}
+    parser.add_argument("--scenario", type=lambda text: numbers.get(text, text),
+                        choices=SCENARIOS, help="1|2|3 or a scenario name", **kwargs)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="yolokit",
@@ -469,8 +460,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="score detections against ground truth")
     p.add_argument("--detections", required=True)
     p.add_argument("--truth", required=True)
-    p.add_argument("--scenario", default="all-classes",
-                   help="1|2|3 or a scenario name")
+    _add_scenario(p, default="all-classes")
     p.add_argument("--iou", type=float, default=0.5,
                    help="IoU threshold in [0, 1] for failure counting")
     p.add_argument("--json", default=None, help="also write a JSON report here")
@@ -478,7 +468,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="generate a synthetic scenario dataset")
     p.add_argument("--seed", type=_int_at_least(0), default=0)
-    p.add_argument("--scenario", type=int, required=True, choices=SCENARIO_BY_NUMBER)
+    _add_scenario(p, required=True)
     p.add_argument("--count", type=_int_at_least(0), required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--classes", default=None)

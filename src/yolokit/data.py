@@ -1,6 +1,6 @@
 """Dataset tooling: PPM image I/O, label formats (normalized-center text,
 pixel-corner text, aggregate CSV), rotation/flip augmentation with label
-transforms, and a seeded synthetic scene generator.
+transforms, seeded synthetic scenes and the scenario layouts (`scenario_scene`).
 
 Label coordinate conventions follow the two text formats in the wild:
 per-image `class_id cx cy w h` lines in normalized center form, and
@@ -26,7 +26,7 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 import numpy as np
 
 from .boxes import BoxCorner, BoxNorm, corner_to_norm, norm_to_corner
-from .records import ClassRegistry, read_records
+from .records import SCENARIOS, ClassRegistry, read_records
 
 # label coordinates are quantized to this grid so that the flip and exact
 # 90-degree label maps (x -> 1-x and coordinate swaps) are closed and
@@ -604,3 +604,19 @@ def generate_synthetic_scene(seed: int, registry, count_range=(3, 8),
             _quantize(norm.w), _quantize(norm.h))))
     return LabeledImage(Image(pixels), tuple(labels),
                         f"scene_{seed:06d}.ppm")
+
+
+def scenario_scene(scenario: str, index: int, seed: int, registry) -> LabeledImage:
+    """Scene `index` of a `records.SCENARIOS` scenario, drawn by
+    `generate_synthetic_scene(seed, registry, ...)`. With n classes:
+    single-class has 3 to 6 parts of class `index % n`; multi-class-group
+    has one part each of the 4 classes from `index % n` on; all-classes
+    has one part of each class. Their parts are at least 4, 1 and 2 px apart."""
+    n = len(registry)
+    layouts = {"single-class": ((3, 6), 4.0, [index % n]),  # count range, gap, pool
+               "multi-class-group": ((4, 4), 1.0, [(index + k) % n for k in range(4)]),
+               "all-classes": ((n, n), 2.0, None)}  # None: every class
+    if scenario not in layouts:
+        raise ValueError(f"unknown scenario {scenario!r}, need one of {SCENARIOS}")
+    counts, gap, pool = layouts[scenario]
+    return generate_synthetic_scene(seed, registry, counts, gap, class_pool=pool)

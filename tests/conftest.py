@@ -6,6 +6,7 @@ import importlib.resources
 import pytest
 
 from yolokit.boxes import BoxCorner
+from yolokit.cli import DEFAULT_CLASS_NAMES
 from yolokit.data import ClassRegistry
 from yolokit.postprocess import Detection
 
@@ -18,10 +19,7 @@ def yolov4_text() -> str:
 
 @pytest.fixture(scope="session")
 def registry13() -> ClassRegistry:
-    return ClassRegistry([
-        "bolt", "nut", "washer", "gear", "bearing", "bracket", "spring",
-        "clip", "rivet", "spacer", "flange", "dowel", "shim",
-    ])
+    return ClassRegistry(DEFAULT_CLASS_NAMES)
 
 
 def make_detection(box, confidence, class_id=0, objectness=None,

@@ -50,55 +50,18 @@ def _rotation_safe_scene(seed, registry, count_range=(3, 8)):
                                          min_gap=2.0, margin=126)
 
 
-def _scenes_with_retry(registry, count, count_range, start_seed=0):
-    scenes = []
-    seed = start_seed
-    while len(scenes) < count:
-        try:
-            scenes.append(_rotation_safe_scene(seed, registry, count_range))
-        except data.PlacementError:
-            pass
-        seed += 1
-    return scenes
-
-
-def _identity_detections(sample):
-    """A perfect detector: one confidence-1.0 detection per label."""
-    n = sample.image.width
-    dets = []
-    for cid, norm in sample.labels:
-        corner = norm_to_corner(norm, n, n)
-        dets.append(make_detection(
-            (corner.x_min, corner.y_min, corner.x_max, corner.y_max),
-            1.0, class_id=cid))
-    return dets
-
-
 def _scenario_dataset(scenario, count, registry, base_seed):
+    """A perfect detector's (detections, truths) on scenes 0 to count-1 of
+    `scenario`, scene i drawn with seed base_seed + i: one confidence-1.0
+    detection per label."""
     samples = []
-    seed = base_seed
-    produced = 0
-    while produced < count:
-        if scenario == 1:
-            pool = [produced % len(registry)]
-            kwargs = dict(count_range=(3, 6), min_gap=4.0, class_pool=pool)
-        elif scenario == 2:
-            start = produced % len(registry)
-            pool = [(start + k) % len(registry) for k in range(4)]
-            kwargs = dict(count_range=(4, 4), min_gap=1.0, class_pool=pool)
-        else:
-            kwargs = dict(count_range=(len(registry), len(registry)),
-                          min_gap=2.0)
-        try:
-            scene = data.generate_synthetic_scene(seed, registry, **kwargs)
-        except data.PlacementError:
-            seed += 1
-            continue
-        gts = [metrics.GroundTruth(norm_to_corner(b, 608, 608), cid)
-               for cid, b in scene.labels]
-        samples.append((_identity_detections(scene), gts))
-        produced += 1
-        seed += 1
+    for index in range(count):
+        scene = data.scenario_scene(scenario, index, base_seed + index, registry)
+        truths = [metrics.GroundTruth(norm_to_corner(b, 608, 608), cid)
+                  for cid, b in scene.labels]
+        samples.append(([postprocess.Detection(t.box, t.class_id, str(t.class_id),
+                                               1.0, 1.0, 1.0) for t in truths],
+                         truths))
     return samples
 
 
@@ -349,7 +312,8 @@ def test_c08_augmentation_correctness(registry13):
         assert turned.image == scene.image
         assert turned.labels == scene.labels
 
-    base = _scenes_with_retry(registry13, 9, (13, 13), start_seed=1000)
+    base = [_rotation_safe_scene(seed, registry13, (13, 13))
+            for seed in range(1000, 1009)]
     rotations = [30.0 * k for k in range(12)]
     # keep only the labels of each variant; 324 full canvases would not
     # fit comfortably in memory
@@ -402,11 +366,10 @@ def test_c09_evaluation_oracle(registry13):
     assert worst <= 1e-12
 
     maps = []
-    for scenario in (1, 2, 3):
+    for number, scenario in enumerate(metrics.SCENARIOS, start=1):
         samples = _scenario_dataset(scenario, 50, registry13,
-                                    base_seed=2000 + scenario * 100)
-        report = metrics.scenario_report(
-            samples, metrics.SCENARIOS[scenario - 1])
+                                    base_seed=2000 + number * 100)
+        report = metrics.scenario_report(samples, scenario)
         assert report.map_50_95 == 1.0
         assert report.error_rate == 0.0
         maps.append(report.map_50_95)

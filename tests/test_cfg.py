@@ -6,6 +6,7 @@ import pytest
 from yolokit.boxes import grid_sizes, head_channels, total_grid_cells
 from yolokit.cfg import (CfgError, LayerSpec, NetGraph, census, parse_cfg,
                          propagate_shapes, serialize_cfg)
+from yolokit.postprocess import DEFAULT_ANCHORS
 
 from oracles import cfg_shapes_ref, conv_params_ref, grid_cells_ref
 
@@ -310,6 +311,14 @@ def test_full_network_structure(yolov4_text):
     head_shapes = [graph.shapes[i] for i, spec in enumerate(graph.layers)
                    if spec.kind == "yolo"]
     assert head_shapes == [(76, 76, 255), (38, 38, 255), (19, 19, 255)]
+    # fine to coarse, each [yolo] section masks the next three of its nine
+    # anchors, and they are the priors decoding uses at that scale
+    yolos = [spec.attributes for spec in graph.layers if spec.kind == "yolo"]
+    for s, attrs in enumerate(yolos):
+        assert attrs["mask"] == (3 * s, 3 * s + 1, 3 * s + 2)
+        pairs = attrs["anchors"]
+        assert [(pairs[2 * m], pairs[2 * m + 1]) for m in attrs["mask"]] == [
+            (a.p_w, a.p_h) for a in DEFAULT_ANCHORS[3 * s:3 * s + 3]]
 
 
 # ---------------------------------------------------------------------------

@@ -229,22 +229,26 @@ def test_netinfo_input_override(tmp_path, capsys, yolov4_text):
 # ---------------------------------------------------------------------------
 # full pipeline: synth -> encode -> detect -> eval
 
-def test_pipeline_reaches_perfect_map(tmp_path, capsys):
-    ds = tmp_path / "ds"
-    heads_dir = tmp_path / "heads"
-    dets_dir = tmp_path / "dets"
-    dets_dir.mkdir()
+@pytest.fixture
+def walkthrough(tmp_path, capsys):
+    """A two-image scenario-1 dataset, its heads and its detections."""
+    ds, heads, dets = tmp_path / "ds", tmp_path / "heads", tmp_path / "dets"
     assert cli.main(["synth", "--scenario", "1", "--count", "2",
                      "--seed", "5", "--out", str(ds)]) == 0
+    assert cli.main(["encode", str(ds), "--out", str(heads)]) == 0
+    dets.mkdir()
+    for stem in ("scene_000005", "scene_000006"):
+        assert cli.main(["detect", "--classes", str(ds / "classes.txt"),
+                         "--heads", *(str(heads / f"{stem}.h{k}") for k in range(3)),
+                         "--out", str(dets / f"{stem}.txt")]) == 0
+    capsys.readouterr()
+    return ds, heads, dets
+
+
+def test_pipeline_reaches_perfect_map(walkthrough, tmp_path, capsys):
+    ds, _, dets_dir = walkthrough
     stems = sorted(p.stem for p in ds.glob("*.ppm"))
     assert stems == ["scene_000005", "scene_000006"]
-    assert cli.main(["encode", str(ds), "--out", str(heads_dir)]) == 0
-    for stem in stems:
-        head_files = [str(heads_dir / f"{stem}.h{k}") for k in range(3)]
-        assert cli.main(["detect", "--heads", *head_files,
-                         "--classes", str(ds / "classes.txt"),
-                         "--out", str(dets_dir / f"{stem}.txt")]) == 0
-    capsys.readouterr()
     report_path = tmp_path / "report.json"
     rc = cli.main(["eval", "--detections", str(dets_dir), "--truth", str(ds),
                    "--scenario", "1", "--json", str(report_path)])
@@ -378,13 +382,16 @@ def test_eval_checks_its_arguments_before_reading_detections(tmp_path, capsys):
     dets = tmp_path / "dets"
     dets.mkdir()
     (dets / "part.txt").write_text("gear x 16 16 32 32\n")  # not a confidence
-    for option, message in ((["--iou", "1.5"], "error_iou_threshold 1.5"),
-                            (["--scenario", "9"], "unknown scenario 9")):
-        rc = cli.main(["eval", "--detections", str(dets), "--truth", str(ds),
-                       *option])
-        assert rc == 2
-        err = capsys.readouterr().err
-        assert err.startswith(f"yolokit: {message}") and "part.txt" not in err
+    argv = ["eval", "--detections", str(dets), "--truth", str(ds)]
+    assert cli.main(argv + ["--iou", "1.5"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("yolokit: error_iou_threshold 1.5") and "part.txt" not in err
+    # argparse rejects an unknown scenario before a file is opened
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv + ["--scenario", "9"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "--scenario: invalid choice: '9'" in err and "part.txt" not in err
 
 
 # ---------------------------------------------------------------------------
@@ -617,6 +624,20 @@ def test_synth_exits_two_when_a_scene_cannot_be_placed(tmp_path, capsys):
     assert "could not place shape" in capsys.readouterr().err
 
 
+def test_synth_takes_a_scenario_by_name_or_number(tmp_path, capsys):
+    for number, name in enumerate(data.SCENARIOS, start=1):
+        by_name, by_number = tmp_path / name, tmp_path / str(number)
+        for scenario, out in ((name, by_name), (str(number), by_number)):
+            assert cli.main(["synth", "--scenario", scenario, "--count", "3",
+                             "--seed", "7", "--out", str(out)]) == 0
+            assert capsys.readouterr().out == f"wrote 3 {name} scenes to {out}\n"
+        files = sorted(p.name for p in by_name.iterdir())
+        assert len(files) == 7  # classes.txt and three .ppm/.txt pairs
+        assert files == sorted(p.name for p in by_number.iterdir())
+        for file in files:
+            assert (by_name / file).read_bytes() == (by_number / file).read_bytes()
+
+
 def test_exit_code_two_on_size_mismatch(tmp_path, capsys):
     ds = tiny_dataset(tmp_path / "ds")
     wide = data.Image(np.zeros((64, 96, 3), np.uint8))
@@ -654,7 +675,7 @@ def test_usage_errors_exit_two(tmp_path, capsys):
                           (synth + ["1", "--seed", "-1"],
                            "--seed: must be at least 0, got -1"),
                           (synth + ["1", "--scenario", "9"],
-                           "--scenario: invalid choice: 9"),
+                           "--scenario: invalid choice: '9'"),
                           (augment + ["-3"], "--floor: must be at least 0, got -3")):
         with pytest.raises(SystemExit) as exc:
             cli.main(argv)
@@ -709,22 +730,6 @@ def fresh_cli(argv):
     out = subprocess.run([sys.executable, "-c", CLI_PROBE, json.dumps(argv)],
                          env=env, stdout=subprocess.PIPE, check=True, timeout=60)
     return json.loads(out.stdout.splitlines()[-1])
-
-
-@pytest.fixture
-def walkthrough(tmp_path, capsys):
-    """A two-image scenario-1 dataset, its heads and its detections."""
-    ds, heads, dets = tmp_path / "ds", tmp_path / "heads", tmp_path / "dets"
-    assert cli.main(["synth", "--scenario", "1", "--count", "2",
-                     "--seed", "5", "--out", str(ds)]) == 0
-    assert cli.main(["encode", str(ds), "--out", str(heads)]) == 0
-    dets.mkdir()
-    for stem in ("scene_000005", "scene_000006"):
-        assert cli.main(["detect", "--classes", str(ds / "classes.txt"),
-                         "--heads", *(str(heads / f"{stem}.h{k}") for k in range(3)),
-                         "--out", str(dets / f"{stem}.txt")]) == 0
-    capsys.readouterr()
-    return ds, heads, dets
 
 
 def test_a_detect_process_loads_only_the_modules_detect_runs(walkthrough, tmp_path):

@@ -14,8 +14,8 @@ from yolokit.data import (_MIN_VISIBLE, COORD_GRID, CSV_HEADER,
                           dataset_to_rows, expansion_report, flip, format_csv,
                           generate_synthetic_scene, iter_expanded, parse_csv,
                           read_labelimg_corners, read_ppm, read_yolo_labels,
-                          rotate, write_labelimg_corners, write_ppm,
-                          write_yolo_labels)
+                          rotate, scenario_scene, write_labelimg_corners,
+                          write_ppm, write_yolo_labels)
 
 from oracles import color_coverage_ref, tight_box_ref
 
@@ -614,16 +614,8 @@ def test_rotated_labels_cover_all_of_their_parts(registry13):
     # all-classes scenes at the default margin: every part has its own
     # color, and parts near the border swing partly off the canvas, so
     # some labels are clipped and some are dropped
-    scenes = []
-    seed = 0
-    while len(scenes) < 6:
-        try:
-            scenes.append(generate_synthetic_scene(
-                seed, registry13, count_range=(13, 13), min_gap=2.0))
-        except PlacementError:
-            pass
-        seed += 1
-    for scene in scenes:
+    for seed in range(6):
+        scene = scenario_scene("all-classes", seed, seed, registry13)
         for degrees in (15.0, 45.0, 137.5):
             out = rotate(scene, degrees)
             for cid, norm in out.labels:
@@ -766,6 +758,23 @@ def test_scene_class_pool(registry13):
     scene = generate_synthetic_scene(5, registry13, class_pool=[4],
                                      count_range=(3, 3), min_gap=2.0)
     assert [cid for cid, _ in scene.labels] == [4, 4, 4]
+
+
+def test_scenario_scenes_follow_their_layouts(registry13):
+    n = len(registry13)
+
+    def classes(name, index):
+        scene = scenario_scene(name, index, index, registry13)
+        return sorted(cid for cid, _ in scene.labels)
+
+    for index in range(14):
+        single = classes("single-class", index)
+        assert 3 <= len(single) <= 6 and set(single) == {index % n}
+        group = classes("multi-class-group", index)
+        assert group == sorted((index + k) % n for k in range(4))
+        assert classes("all-classes", index) == list(range(n))
+    with pytest.raises(ValueError, match="unknown scenario 'weird'"):
+        scenario_scene("weird", 0, 0, registry13)
 
 
 def test_class_shape_distinct_for_thirteen():
