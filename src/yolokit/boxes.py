@@ -1,7 +1,8 @@
 """Axis-aligned box geometry: representations, conversions, IoU, the
 anchor-based decode that turns raw grid-cell offsets into pixel boxes,
 and the detection grid arithmetic (grid sizes, head channels, the cell
-responsible for a box).
+responsible for a box) of the detector's one head layout, `STRIDES` and
+`SLOTS`, from which `postprocess` and `cli` derive every count.
 
 Two box forms are used throughout. BoxCorner is pixel corners with the
 origin at the top-left and y growing downward. BoxNorm is the normalized
@@ -14,6 +15,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+
+# YOLOv4's heads by stride in input pixels, fine to coarse; anchor slots per cell
+STRIDES = (8, 16, 32)
+SLOTS = 3
 
 
 def sigmoid(x):
@@ -231,20 +236,20 @@ def responsible_cell(gt: BoxNorm, grid_n: int) -> tuple[int, int]:
 
 
 def head_channels(num_classes: int) -> int:
-    """Channels of one detection head: 3 anchor slots x (4 box terms +
+    """Channels of one detection head: SLOTS anchor slots x (4 box terms +
     1 objectness + num_classes)."""
     if num_classes < 1:
         raise ValueError(f"need at least one class, got {num_classes}")
-    return 3 * (4 + 1 + num_classes)
+    return SLOTS * (4 + 1 + num_classes)
 
 
-def grid_sizes(input_n: int) -> tuple[int, int, int]:
-    """The three detection grid edge lengths (strides 8, 16, 32)."""
-    if input_n <= 0 or input_n % 32 != 0:
-        raise ValueError(f"input {input_n} is not a positive multiple of 32")
-    return input_n // 8, input_n // 16, input_n // 32
+def grid_sizes(input_n: int) -> tuple[int, ...]:
+    """The detection grid edge lengths, one per stride of STRIDES."""
+    if input_n <= 0 or input_n % STRIDES[-1] != 0:
+        raise ValueError(f"input {input_n} is not a positive multiple of {STRIDES[-1]}")
+    return tuple(input_n // stride for stride in STRIDES)
 
 
 def total_grid_cells(input_n: int) -> int:
-    """Total grid cells across the three scales: (N/8)^2+(N/16)^2+(N/32)^2."""
+    """Total grid cells across the heads: the sum of (N/stride)^2."""
     return sum(n * n for n in grid_sizes(input_n))

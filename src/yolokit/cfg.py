@@ -187,7 +187,7 @@ def propagate_shapes(graph: NetGraph) -> NetGraph:
     width = _as_int(net.attributes, "width", None, net, minimum=1)
     height = _as_int(net.attributes, "height", None, net, minimum=1)
     channels = _as_int(net.attributes, "channels", 3, net, minimum=1)
-    if width % 32 != 0 or height % 32 != 0:
+    if width % 32 != 0 or height % 32 != 0:  # boxes.STRIDES[-1]: cfg imports no numpy
         raise CfgError(
             f"input {width}x{height} is not a multiple of 32", net.source_line)
 

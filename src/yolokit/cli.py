@@ -14,7 +14,8 @@ per_class_nms. The input size is not a setting: `encode` takes it from
 the images and `detect` from the head tensors.
 
 Exit codes: 0 success, 1 evaluation found failures, 2 usage/parse error,
-3 I/O error. Data goes to stdout or files; diagnostics go to stderr.
+3 I/O error. Data goes to stdout or files; diagnostics go to stderr. On
+exit 2 or 3 a command removes the `--out` directory it made, if it made one.
 
 Importing `cli` loads `records` and no numpy. Each command imports the
 modules it runs inside its own body, so `netinfo` adds only `cfg` and
@@ -371,7 +372,7 @@ def cmd_bench(args) -> int:
             heads, config.anchors, det_config, names))
         timings.append((time.perf_counter() - start) * 1000.0)
     timings.sort()
-    candidates = boxes.total_grid_cells(input_n) * 3
+    candidates = boxes.total_grid_cells(input_n) * boxes.SLOTS
     p50 = timings[len(timings) // 2]
     p99 = timings[min(len(timings) - 1, int(len(timings) * 0.99))]
     print(f"frames: {args.frames}  candidates/frame: {candidates}")
@@ -446,6 +447,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_encode)
 
     p = sub.add_parser("detect", help="run post-processing on head tensors")
+    # nargs is len(boxes.STRIDES) written out: importing cli loads no numpy
     p.add_argument("--heads", nargs=3, metavar="HEAD",
                    help="three head files, fine to coarse")
     p.add_argument("--classes", help="classes.txt path")
@@ -490,14 +492,16 @@ def main(argv=None) -> int:
     if args.command == "detect" and not args.dump_config:
         if not args.heads or not args.classes:
             parser.error("detect requires --heads and --classes")
+    fresh_out = getattr(args, "out", None) and not os.path.lexists(args.out)
     try:
         return args.func(args)
-    except OSError as exc:
-        print(f"yolokit: I/O error: {exc}", file=sys.stderr)
-        return 3
-    except ValueError as exc:
-        print(f"yolokit: {exc}", file=sys.stderr)
-        return 2
+    except (OSError, ValueError) as exc:
+        code, kind = (3, "I/O error: ") if isinstance(exc, OSError) else (2, "")
+        print(f"yolokit: {kind}{exc}", file=sys.stderr)
+        if fresh_out and os.path.isdir(args.out):  # made by this failed run
+            import shutil
+            shutil.rmtree(args.out, ignore_errors=True)
+        return code
 
 
 if __name__ == "__main__":

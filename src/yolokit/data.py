@@ -504,29 +504,25 @@ PALETTE = (
     (150, 150, 230),
 )
 
-SHAPE_KINDS = ("block", "disc", "wedge", "diamond", "ring", "cross")
+# Each kind's mask from the pixel offsets (di, dj) to the centre and half size r
+_SHAPES = {
+    "block": lambda di, dj, r: np.ones(di.shape, dtype=bool),
+    "disc": lambda di, dj, r: di ** 2 + dj ** 2 <= r * r,
+    "wedge": lambda di, dj, r: dj <= di,
+    "diamond": lambda di, dj, r: np.abs(di) + np.abs(dj) <= r,
+    "ring": lambda di, dj, r: ((di ** 2 + dj ** 2 <= r * r)
+                               & (di ** 2 + dj ** 2 >= (r / 2.0) ** 2)),
+    "cross": lambda di, dj, r: ((np.abs(di) <= max(1.0, r / 3.0))
+                                | (np.abs(dj) <= max(1.0, r / 3.0))),
+}
+SHAPE_KINDS = tuple(_SHAPES)
 
 
 def _shape_mask(kind: str, size: int) -> np.ndarray:
     """Boolean (size, size) mask of one parametric shape."""
     ii, jj = np.mgrid[0:size, 0:size]
-    c = (size - 1) / 2.0
     r = (size - 1) / 2.0
-    if kind == "block":
-        return np.ones((size, size), dtype=bool)
-    if kind == "disc":
-        return (ii - c) ** 2 + (jj - c) ** 2 <= r * r
-    if kind == "wedge":
-        return jj <= ii
-    if kind == "diamond":
-        return np.abs(ii - c) + np.abs(jj - c) <= r
-    if kind == "ring":
-        d2 = (ii - c) ** 2 + (jj - c) ** 2
-        return (d2 <= r * r) & (d2 >= (r / 2.0) ** 2)
-    if kind == "cross":
-        arm = max(1.0, r / 3.0)
-        return (np.abs(ii - c) <= arm) | (np.abs(jj - c) <= arm)
-    raise ValueError(f"unknown shape kind {kind!r}")
+    return _SHAPES[kind](ii - r, jj - r, r)
 
 
 def class_shape(class_id: int) -> tuple[str, tuple[int, int, int]]:

@@ -5,8 +5,8 @@ tensor, score them (sigmoid objectness, sigmoid per-class scores, argmax
 class), suppress duplicates with greedy NMS, then gate on a confidence
 floor. The list functions (`extract_predictions`, `score_predictions`,
 `nms`, `two_stage_filter`) run each step on its own; `detect_frame`
-composes all four over the three scales on arrays and produces results
-identical to running the list functions in sequence.
+composes all four over the scales of `boxes.STRIDES` on arrays and
+produces results identical to running the list functions in sequence.
 
 Both paths read a head through one slot table: one row of fields per
 anchor slot, numbered through the scales, and one decoder of a slot
@@ -52,12 +52,13 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .boxes import (Anchor, BoxCorner, RawPrediction, decode_corners, grid_sizes,
-                    head_channels, iou_one_to_many, responsible_cell, sigmoid)
+from .boxes import (SLOTS, STRIDES, Anchor, BoxCorner, RawPrediction, decode_corners,
+                    grid_sizes, head_channels, iou_one_to_many, responsible_cell,
+                    sigmoid)
 from .records import ClassRegistry, read_records
 from .tensor import ShapeError, Tensor
 
-# YOLOv4's nine priors in input pixels, three per scale, fine to coarse
+# YOLOv4's priors in input pixels, SLOTS per scale, fine to coarse
 DEFAULT_ANCHORS = (
     Anchor(12, 16), Anchor(19, 36), Anchor(40, 28),
     Anchor(36, 75), Anchor(76, 55), Anchor(72, 146),
@@ -66,10 +67,10 @@ DEFAULT_ANCHORS = (
 
 
 def nine_anchors(anchors) -> tuple:
-    """`anchors` as a tuple, which must hold nine priors (three per scale)."""
+    """`anchors` as a tuple, which must hold SLOTS priors per stride of STRIDES."""
     anchors = tuple(anchors)
-    if len(anchors) != 9:
-        raise ShapeError(f"need 9 anchors, got {len(anchors)}")
+    if len(anchors) != SLOTS * len(STRIDES):
+        raise ShapeError(f"need {SLOTS * len(STRIDES)} anchors, got {len(anchors)}")
     return anchors
 
 
@@ -211,9 +212,10 @@ class RunConfig:
 
 def _parse_anchors(value: str) -> tuple:
     nums = [float(v) for v in value.split(",")]
-    if len(nums) != 18:
-        raise ValueError(f"anchors needs 18 numbers, got {len(nums)}")
-    return tuple(Anchor(nums[i], nums[i + 1]) for i in range(0, 18, 2))
+    count = 2 * SLOTS * len(STRIDES)
+    if len(nums) != count:
+        raise ValueError(f"anchors needs {count} numbers, got {len(nums)}")
+    return tuple(map(Anchor, nums[::2], nums[1::2]))
 
 
 def _parse_flag(value: str) -> bool:
@@ -269,8 +271,8 @@ def format_run_config(config: RunConfig) -> str:
 def _head_fields(head: np.ndarray, num_classes: int):
     """View a head's (height, width, channels) array as one row per slot.
 
-    Returns (grid_n, fields), fields of shape (grid_n*grid_n*3, 5 + C):
-    row (row*grid_n + col)*3 + s holds slot s of cell (row, col) as
+    Returns (grid_n, fields), fields of shape (grid_n*grid_n*SLOTS, 5 + C):
+    row (row*grid_n + col)*SLOTS + s holds slot s of cell (row, col) as
     [t_x, t_y, t_w, t_h, objectness, class_0 .. class_{C-1}].
     """
     height, width, channels = head.shape
@@ -280,8 +282,8 @@ def _head_fields(head: np.ndarray, num_classes: int):
     if channels != expect:
         raise ShapeError(
             f"head has {channels} channels; {num_classes} classes "
-            f"requires 3*(4+1+{num_classes}) = {expect}")
-    return height, head.reshape(height * width * 3, expect // 3)
+            f"requires {SLOTS}*(4+1+{num_classes}) = {expect}")
+    return height, head.reshape(height * width * SLOTS, expect // SLOTS)
 
 
 def _slot_cells(index, grids):
@@ -290,10 +292,10 @@ def _slot_cells(index, grids):
     one head after another, cell-major and slot-minor within each head,
     so that scale 0 is the first of `grids`."""
     grids = np.asarray(grids)
-    sizes = 3 * grids * grids
+    sizes = SLOTS * grids * grids
     starts = np.cumsum(sizes) - sizes
     scale = np.searchsorted(starts, index, side="right") - 1
-    cell, slot = np.divmod(index - starts[scale], 3)
+    cell, slot = np.divmod(index - starts[scale], SLOTS)
     rows, cols = np.divmod(cell, grids[scale])
     return scale, rows, cols, slot
 
@@ -301,15 +303,15 @@ def _slot_cells(index, grids):
 @functools.lru_cache(maxsize=4)
 def _slot_geometry(grids: tuple, priors: tuple) -> np.ndarray:
     """Grid column, row, stride and prior width and height of every slot
-    of heads with `grids` cells a side (fine to coarse) and `priors`
-    ((p_w, p_h) pairs, three per head), one read-only row per slot as
-    `_slot_cells` numbers them, as `_decode_rows` reads them. Cached: a
-    frame takes its slots' rows with one gather."""
+    of heads with `grids` cells a side (one per stride of STRIDES) and
+    `priors` ((p_w, p_h) pairs, SLOTS per head), one read-only row per
+    slot as `_slot_cells` numbers them, as `_decode_rows` reads them.
+    Cached: a frame takes its slots' rows with one gather."""
     scale, rows, cols, slot = _slot_cells(
-        np.arange(3 * sum(g * g for g in grids)), grids)
-    strides = grids[-1] * 32 / np.asarray(grids)[scale]
+        np.arange(SLOTS * sum(g * g for g in grids)), grids)
+    strides = np.array(STRIDES, dtype=np.float64)[scale]
     table = np.column_stack(
-        (cols, rows, strides, np.array(priors)[3 * scale + slot]))
+        (cols, rows, strides, np.array(priors)[SLOTS * scale + slot]))
     table.flags.writeable = False
     return table
 
@@ -342,14 +344,14 @@ def extract_predictions(head: Tensor, anchors, num_classes: int,
                         input_n: int, scale_index: int = 0) -> list[RawPrediction]:
     """One RawPrediction per (cell, anchor slot), cell-major slot-minor.
 
-    `anchors` is this scale's three priors. A head whose channel count
-    disagrees with 3*(4+1+num_classes) is rejected, and so is a NaN
+    `anchors` is this scale's SLOTS priors. A head whose channel count
+    disagrees with SLOTS*(4+1+num_classes) is rejected, and so is a NaN
     anywhere in it: every slot is scored downstream. `scale_index` is the
     scale that a NaN's message names.
     """
     anchors = tuple(anchors)
-    if len(anchors) != 3:
-        raise ShapeError(f"need exactly 3 anchors per scale, got {len(anchors)}")
+    if len(anchors) != SLOTS:
+        raise ShapeError(f"need exactly {SLOTS} anchors per scale, got {len(anchors)}")
     grid_n, fields = _head_fields(head.data, num_classes)
     index = np.arange(fields.shape[0])
     fields = _scale_rows([(grid_n, fields)], index, scale_index)
@@ -357,7 +359,7 @@ def extract_predictions(head: Tensor, anchors, num_classes: int,
     return [RawPrediction(
         t_x=vec[0], t_y=vec[1], t_w=vec[2], t_h=vec[3],
         objectness_logit=vec[4], class_logits=tuple(vec[5:]),
-        cell=(row, col), anchor=anchors[i % 3], grid_n=grid_n, input_n=input_n,
+        cell=(row, col), anchor=anchors[i % SLOTS], grid_n=grid_n, input_n=input_n,
     ) for i, (vec, row, col) in enumerate(zip(
         fields.tolist(), rows.tolist(), cols.tolist()))]
 
@@ -502,8 +504,8 @@ def detect_frame(heads, anchors, config: DetectConfig,
                  class_names) -> Detections:
     """Full post-processing for one frame.
 
-    `heads` are the three scale tensors ordered fine to coarse (strides
-    8, 16, 32 of one input size); `anchors` are nine priors grouped three
+    `heads` are the scale tensors ordered fine to coarse, one per stride
+    of STRIDES at one input size; `anchors` are the priors grouped SLOTS
     per scale in the same order. Equivalent to extract -> score -> nms ->
     two_stage_filter, with array internals so a full frame stays cheap:
     the result is a `Detections` of the kept boxes in pop order, equal to
@@ -527,14 +529,14 @@ def detect_frame(heads, anchors, config: DetectConfig,
     does not fit the class list raises ShapeError naming its scale.
     """
     heads = tuple(heads)
-    if len(heads) != 3:
-        raise ShapeError(f"need 3 head tensors, got {len(heads)}")
+    if len(heads) != len(STRIDES):
+        raise ShapeError(f"need {len(STRIDES)} head tensors, got {len(heads)}")
     anchors = nine_anchors(anchors)
     num_classes = len(class_names)
-    # the coarsest grid has stride 32, so it fixes the input size
-    input_n = heads[2].height * 32
+    # the coarsest grid has the last stride, so it fixes the input size
+    input_n = heads[-1].height * STRIDES[-1]
     grids = tuple(head.height for head in heads)
-    if grids[::-1] == grid_sizes(grids[0] * 32):
+    if grids[::-1] == grid_sizes(grids[0] * STRIDES[-1]):
         raise ShapeError(f"head grids {grids} run coarse to fine; heads go "
                          f"fine to coarse (expected {grids[::-1]})")
     if grids != grid_sizes(input_n):
@@ -574,8 +576,8 @@ _HOT_LOGIT = 12.0
 
 
 def ground_truth_heads(labels, num_classes: int, input_n: int,
-                       anchors) -> tuple[Tensor, Tensor, Tensor]:
-    """Encode ground-truth labels as the three head tensors that decode
+                       anchors) -> tuple[Tensor, ...]:
+    """Encode ground-truth labels as the heads, one per stride, that decode
     back to those boxes (an identity stub standing in for inference).
 
     Each label goes to its best-fitting anchor slot (smallest
@@ -599,14 +601,14 @@ def ground_truth_heads(labels, num_classes: int, input_n: int,
             raise ValueError(f"class_id {class_id} outside 0..{num_classes - 1}")
         w_px = box.w * input_n
         h_px = box.h * input_n
-        ranked = sorted(range(9), key=lambda k: (
+        ranked = sorted(range(len(anchors)), key=lambda k: (
             abs(math.log(w_px / anchors[k].p_w))
             + abs(math.log(h_px / anchors[k].p_h))))
         for k in ranked:
-            scale, slot = divmod(k, 3)
+            scale, slot = divmod(k, SLOTS)
             g = grids[scale]
             row, col = responsible_cell(box, g)
-            vec = slots[scale][(row * g + col) * 3 + slot]
+            vec = slots[scale][(row * g + col) * SLOTS + slot]
             if vec[4] == _HOT_LOGIT:  # taken by an earlier label
                 continue
             vec[:4] = (logit(box.cx * g - col), logit(box.cy * g - row),

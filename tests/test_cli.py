@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from yolokit import cli, data, postprocess
+from yolokit import boxes, cfg, cli, data, postprocess
 from yolokit.boxes import Anchor, BoxNorm
 from yolokit.tensor import ShapeError, Tensor
 
@@ -622,6 +622,7 @@ def test_synth_exits_two_when_a_scene_cannot_be_placed(tmp_path, capsys):
                    "--classes", str(classes), "--out", str(tmp_path / "ds")])
     assert rc == 2
     assert "could not place shape" in capsys.readouterr().err
+    assert not (tmp_path / "ds").exists()
 
 
 def test_synth_takes_a_scenario_by_name_or_number(tmp_path, capsys):
@@ -646,6 +647,15 @@ def test_exit_code_two_on_size_mismatch(tmp_path, capsys):
     assert rc == 2
     assert (f"yolokit: {ds / 'wide.ppm'}: image is 96x64, expected 64x64"
             in capsys.readouterr().err)
+    assert not (tmp_path / "heads").exists()
+    # an --out that existed keeps its files and the heads written before the failure
+    kept = tmp_path / "kept"
+    kept.mkdir()
+    (kept / "notes.txt").write_text("kept\n")
+    assert cli.main(["encode", str(ds), "--out", str(kept)]) == 2
+    assert (kept / "notes.txt").read_text() == "kept\n"
+    assert sorted(p.name for p in kept.iterdir()) == [
+        "notes.txt", "part.h0", "part.h1", "part.h2"]
     odd = tmp_path / "odd"
     odd.mkdir()
     (odd / "classes.txt").write_text("bolt\n")
@@ -655,6 +665,29 @@ def test_exit_code_two_on_size_mismatch(tmp_path, capsys):
     assert rc == 2
     err = capsys.readouterr().err
     assert "square.ppm" in err and "not a positive multiple of 32" in err
+    assert not (tmp_path / "odd_heads").exists()
+
+
+def test_the_literal_layout_copies_match_boxes(capsys):
+    """`detect --heads` and `cfg.propagate_shapes` keep their own copies of
+    the head layout, because importing `cli` or `cfg` loads no numpy; both
+    must agree with `boxes.STRIDES`."""
+    heads = [f"h{k}" for k in range(len(boxes.STRIDES))]
+    parser = cli.build_parser()
+    assert parser.parse_args(["detect", "--heads", *heads]).heads == heads
+    for wrong in (heads[:-1], heads + ["h"]):
+        with pytest.raises(SystemExit):
+            parser.parse_args(["detect", "--heads", *wrong])
+    capsys.readouterr()
+
+    def input_shape(n):
+        graph = cfg.parse_cfg(f"[net]\nwidth={n}\nheight={n}\n")
+        return cfg.propagate_shapes(graph).shapes[0]
+
+    with pytest.raises(cfg.CfgError, match="is not a multiple of"):
+        input_shape(boxes.STRIDES[-1] + boxes.STRIDES[0])
+    n = 2 * boxes.STRIDES[-1]
+    assert input_shape(n) == (n, n, 3)
 
 
 def test_usage_errors_exit_two(tmp_path, capsys):

@@ -777,6 +777,55 @@ def test_ground_truth_heads_decode_back():
         assert d.confidence > 0.9999
 
 
+@pytest.mark.parametrize("strides, slots, input_n, grids, candidates", [
+    ((16, 32), 3, 416, [26, 13], 2535),  # YOLOv4-tiny's two heads
+    ((8, 16), 2, 400, [50, 25], 6250),  # no stride 32 and two slots per cell
+])
+def test_the_head_layout_is_set_in_one_place(monkeypatch, capsys, strides, slots,
+                                             input_n, grids, candidates):
+    """A layout set as `boxes.STRIDES` and `boxes.SLOTS` where they are
+    read: ground truth encodes into one head per stride that decodes back
+    at mAP 1.0, the run config's anchors take two numbers per prior, and
+    `bench` counts the heads' slots."""
+    from yolokit import boxes, cli, metrics
+    priors = (Anchor(10, 14), Anchor(23, 27), Anchor(37, 58),
+              Anchor(81, 82), Anchor(135, 169), Anchor(344, 319))[:slots * len(strides)]
+    for module in (boxes, postprocess):
+        monkeypatch.setattr(module, "STRIDES", strides)
+        monkeypatch.setattr(module, "SLOTS", slots)
+    # the table is keyed by grids and priors, not by the layout
+    postprocess._slot_geometry.cache_clear()
+    try:
+        labels = [(0, BoxNorm(0.2, 0.3, 0.03, 0.04)),
+                  (1, BoxNorm(0.7, 0.6, 0.35, 0.4)),
+                  (2, BoxNorm(0.45, 0.8, 0.15, 0.12))]
+        heads = ground_truth_heads(labels, 3, input_n, priors)
+        assert [head.height for head in heads] == grids
+        assert {head.channels for head in heads} == {slots * (5 + 3)}
+        dets = detect_frame(heads, priors, DetectConfig(), ["a", "b", "c"])
+        truths = [metrics.GroundTruth(norm_to_corner(box, input_n, input_n), cid)
+                  for cid, box in labels]
+        assert len(dets) == 3
+        assert metrics.map_50_95([(list(dets), truths)]).map_50_95 == 1.0
+        table = postprocess._slot_geometry(
+            tuple(grids), tuple((a.p_w, a.p_h) for a in priors))
+        assert table.shape == (candidates, 5)
+        raws = postprocess.extract_predictions(heads[-1], priors[-slots:], 3, input_n)
+        assert len(raws) == slots * grids[-1] ** 2
+        assert [raw.anchor for raw in raws[:slots]] == list(priors[-slots:])
+
+        # RunConfig's default anchors stay YOLOv4's nine, so the run config
+        # text is checked by its anchors line and `bench` gets its config
+        run = postprocess.RunConfig(anchors=priors)
+        line = postprocess.format_run_config(run).splitlines()[0]
+        assert postprocess._parse_anchors(line.removeprefix("anchors=")) == priors
+        monkeypatch.setattr(cli, "_load_config", lambda args: run)
+        assert cli.main(["bench", "--frames", "1", "--input", str(input_n)]) == 0
+        assert f"candidates/frame: {candidates}\n" in capsys.readouterr().out
+    finally:
+        postprocess._slot_geometry.cache_clear()
+
+
 def test_ground_truth_heads_collision_fallback():
     box = BoxNorm(0.5, 0.5, 0.1, 0.1)
     labels = [(i, box) for i in range(4)]
