@@ -14,8 +14,8 @@ per_class_nms. The input size is not a setting: `encode` takes it from
 the images and `detect` from the head tensors.
 
 Exit codes: 0 success, 1 evaluation found failures, 2 usage/parse error,
-3 I/O error. Data goes to stdout or files; diagnostics go to stderr. On
-exit 2 or 3 a command removes the `--out` directory it made, if it made one.
+3 I/O error. Data goes to stdout or files; diagnostics go to stderr. A
+directory `--out` is written through `_staged`: exit 2 leaves it as it was.
 
 Importing `cli` loads `records` and no numpy. Each command imports the
 modules it runs inside its own body, so `netinfo` adds only `cfg` and
@@ -26,12 +26,12 @@ loads no numpy, and a `detect` process never loads `cfg`, `data` or
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import struct
 import sys
 import time
 from dataclasses import replace
-from pathlib import Path
 
 from .records import SCENARIOS, ClassRegistry
 
@@ -110,6 +110,21 @@ def _write_text(path: str, text: str) -> None:
         fh.write(text)
 
 
+@contextlib.contextmanager
+def _staged(out: str):
+    """Yield a fresh directory beside `out`; when the block ends, move its
+    files into `out` (made if missing). On an exception they are removed and
+    `out` is left as it was. `out`'s missing parents are made and stay."""
+    import tempfile
+    parent = os.path.dirname(os.path.realpath(out))  # same filesystem as out
+    os.makedirs(parent, exist_ok=True)
+    with tempfile.TemporaryDirectory(prefix=".yolokit-", dir=parent) as stage:
+        yield stage
+        os.makedirs(out, exist_ok=True)
+        for name in os.listdir(stage):
+            os.replace(os.path.join(stage, name), os.path.join(out, name))
+
+
 def _load_dataset_dir(directory: str):
     """A dataset directory's CLASSES_FILE and an iterator over its
     <stem>.ppm/<stem>.txt pairs in name order, which reads one pair per
@@ -136,15 +151,15 @@ def _write_dataset_dir(directory: str, registry, samples) -> list:
     of `samples`, as `_load_dataset_dir` reads them. Returns the labels
     only, so that a long stream of samples never sits in memory."""
     from . import data
-    os.makedirs(directory, exist_ok=True)
-    _write_text(os.path.join(directory, CLASSES_FILE), registry.to_text())
     written = []
-    for sample in samples:
-        with open(os.path.join(directory, sample.stem + ".ppm"), "wb") as fh:
-            fh.writelines(data.ppm_parts(sample.image))
-        _write_text(os.path.join(directory, sample.stem + ".txt"),
-                    data.write_yolo_labels(sample.labels))
-        written.append(sample.labels)
+    with _staged(directory) as stage:
+        _write_text(os.path.join(stage, CLASSES_FILE), registry.to_text())
+        for sample in samples:
+            with open(os.path.join(stage, sample.stem + ".ppm"), "wb") as fh:
+                fh.writelines(data.ppm_parts(sample.image))
+            _write_text(os.path.join(stage, sample.stem + ".txt"),
+                        data.write_yolo_labels(sample.labels))
+            written.append(sample.labels)
     return written
 
 
@@ -222,27 +237,27 @@ def cmd_labels_convert(args) -> int:
         raise ValueError(f"--from and --to are both {args.src}; nothing to convert")
     from . import boxes, data
     registry = _load(args.classes, ClassRegistry.from_text)
-    os.makedirs(args.out, exist_ok=True)
     converted = 0
-    for name in sorted(os.listdir(args.dir)):
-        if not name.endswith(".txt") or name == CLASSES_FILE:
-            continue
-        stem = os.path.splitext(name)[0]
-        image = _load(os.path.join(args.dir, stem + ".ppm"), data.read_ppm, binary=True)
-        w, h = image.width, image.height
-        label_path = os.path.join(args.dir, name)
-        if args.src == "labelimg":
-            # converted inside the loader: a box YOLO cannot hold names the file
-            out_text = _load(label_path, lambda text: data.write_yolo_labels(
-                (cid, boxes.corner_to_norm(box, w, h))
-                for cid, box in data.read_labelimg_corners(text, (w, h), registry)))
-        else:
-            labels = _load(label_path, data.read_yolo_labels, registry)
-            out_text = data.write_labelimg_corners(
-                ((cid, boxes.norm_to_corner(box, w, h)) for cid, box in labels),
-                registry)
-        _write_text(os.path.join(args.out, name), out_text)
-        converted += 1
+    with _staged(args.out) as stage:
+        for name in sorted(os.listdir(args.dir)):
+            if not name.endswith(".txt") or name == CLASSES_FILE:
+                continue
+            stem = os.path.splitext(name)[0]
+            image = _load(os.path.join(args.dir, stem + ".ppm"), data.read_ppm, binary=True)
+            w, h = image.width, image.height
+            label_path = os.path.join(args.dir, name)
+            if args.src == "labelimg":
+                # converted inside the loader: a box YOLO cannot hold names the file
+                out_text = _load(label_path, lambda text: data.write_yolo_labels(
+                    (cid, boxes.corner_to_norm(box, w, h))
+                    for cid, box in data.read_labelimg_corners(text, (w, h), registry)))
+            else:
+                labels = _load(label_path, data.read_yolo_labels, registry)
+                out_text = data.write_labelimg_corners(
+                    ((cid, boxes.norm_to_corner(box, w, h)) for cid, box in labels),
+                    registry)
+            _write_text(os.path.join(stage, name), out_text)
+            converted += 1
     print(f"converted {converted} label files to {args.out}")
     return 0
 
@@ -258,21 +273,22 @@ def cmd_encode(args) -> int:
     from . import postprocess
     config = _load_config(args)
     registry, samples = _load_dataset_dir(args.dataset)
-    os.makedirs(args.out, exist_ok=True)
     count = input_n = 0
-    for count, sample in enumerate(samples, start=1):
-        # the first image fixes the input size, as the heads do for detect
-        input_n = input_n or sample.image.width
-        try:
-            if sample.image.width != input_n or sample.image.height != input_n:
-                raise ValueError(f"image is {sample.image.width}x"
-                                 f"{sample.image.height}, expected {input_n}x{input_n}")
-            heads = postprocess.ground_truth_heads(
-                sample.labels, len(registry), input_n, config.anchors)
-        except ValueError as exc:
-            raise ValueError(f"{sample.source_path}: {exc}") from None
-        for k, head in enumerate(heads):
-            Path(args.out, f"{sample.stem}.h{k}").write_bytes(write_head_bytes(head))
+    with _staged(args.out) as stage:
+        for count, sample in enumerate(samples, start=1):
+            # the first image fixes the input size, as the heads do for detect
+            input_n = input_n or sample.image.width
+            try:
+                if sample.image.width != input_n or sample.image.height != input_n:
+                    raise ValueError(f"image is {sample.image.width}x"
+                                     f"{sample.image.height}, expected {input_n}x{input_n}")
+                heads = postprocess.ground_truth_heads(
+                    sample.labels, len(registry), input_n, config.anchors)
+            except ValueError as exc:
+                raise ValueError(f"{sample.source_path}: {exc}") from None
+            for k, head in enumerate(heads):
+                with open(os.path.join(stage, f"{sample.stem}.h{k}"), "wb") as fh:
+                    fh.write(write_head_bytes(head))
     print(f"encoded {count} images into head tensors at {args.out}")
     return 0
 
@@ -492,15 +508,11 @@ def main(argv=None) -> int:
     if args.command == "detect" and not args.dump_config:
         if not args.heads or not args.classes:
             parser.error("detect requires --heads and --classes")
-    fresh_out = getattr(args, "out", None) and not os.path.lexists(args.out)
     try:
         return args.func(args)
     except (OSError, ValueError) as exc:
         code, kind = (3, "I/O error: ") if isinstance(exc, OSError) else (2, "")
         print(f"yolokit: {kind}{exc}", file=sys.stderr)
-        if fresh_out and os.path.isdir(args.out):  # made by this failed run
-            import shutil
-            shutil.rmtree(args.out, ignore_errors=True)
         return code
 
 

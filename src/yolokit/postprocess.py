@@ -48,7 +48,7 @@ from __future__ import annotations
 import functools
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -194,7 +194,7 @@ class RunConfig:
     """Anchors and post-processing settings shared by `encode`, `detect`
     and `bench`; `confidence_threshold` is detect_frame's one drop threshold."""
 
-    anchors: tuple = DEFAULT_ANCHORS
+    anchors: tuple = field(default_factory=lambda: DEFAULT_ANCHORS)  # read when built
     confidence_threshold: float = max(_DETECT_DEFAULTS.nms.objectness_threshold,
                                       _DETECT_DEFAULTS.confidence_floor)
     iou_threshold: float = _DETECT_DEFAULTS.nms.iou_threshold

@@ -12,8 +12,6 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-ACTIVATIONS = ("linear", "leaky", "mish")
-
 # tanh(softplus(x)) rounds to 1.0 beyond this point
 _SOFTPLUS_CUTOFF = 20.0
 
@@ -50,14 +48,15 @@ def leaky_relu(x, slope: float = 0.1):
     return out
 
 
+# Each activation by its cfg name
+_ACTIVATIONS = {"linear": lambda values: values, "leaky": leaky_relu, "mish": mish}
+ACTIVATIONS = tuple(_ACTIVATIONS)
+
+
 def _activate(values: np.ndarray, activation: str) -> np.ndarray:
-    if activation == "linear":
-        return values
-    if activation == "leaky":
-        return leaky_relu(values)
-    if activation == "mish":
-        return mish(values)
-    raise ValueError(f"unknown activation {activation!r}")
+    if activation not in _ACTIVATIONS:
+        raise ValueError(f"unknown activation {activation!r}")
+    return _ACTIVATIONS[activation](values)
 
 
 class Tensor:

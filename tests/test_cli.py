@@ -648,14 +648,14 @@ def test_exit_code_two_on_size_mismatch(tmp_path, capsys):
     assert (f"yolokit: {ds / 'wide.ppm'}: image is 96x64, expected 64x64"
             in capsys.readouterr().err)
     assert not (tmp_path / "heads").exists()
-    # an --out that existed keeps its files and the heads written before the failure
+    # an --out that existed keeps its files and gains none of the heads
+    # written before the failure
     kept = tmp_path / "kept"
     kept.mkdir()
     (kept / "notes.txt").write_text("kept\n")
     assert cli.main(["encode", str(ds), "--out", str(kept)]) == 2
     assert (kept / "notes.txt").read_text() == "kept\n"
-    assert sorted(p.name for p in kept.iterdir()) == [
-        "notes.txt", "part.h0", "part.h1", "part.h2"]
+    assert sorted(p.name for p in kept.iterdir()) == ["notes.txt"]
     odd = tmp_path / "odd"
     odd.mkdir()
     (odd / "classes.txt").write_text("bolt\n")
@@ -666,6 +666,112 @@ def test_exit_code_two_on_size_mismatch(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "square.ppm" in err and "not a positive multiple of 32" in err
     assert not (tmp_path / "odd_heads").exists()
+
+
+STEMS = ("a", "b", "c")
+
+
+def three_image_dataset(root, bad_kind=None, bad_at=None, labelimg=False):
+    """classes.txt plus 32x32 images a, b and c with one YOLO (or labelImg)
+    label each. The image at index `bad_at` is made bad: a "truncated" PPM,
+    an "odd-size" 48x32 image or an "unknown-class" label."""
+    root.mkdir()
+    (root / "classes.txt").write_text("bolt\ngear\n")
+    for i, stem in enumerate(STEMS):
+        kind = bad_kind if i == bad_at else None
+        ppm = data.write_ppm(data.Image(
+            np.full((32, 48 if kind == "odd-size" else 32, 3), 30, np.uint8)))
+        (root / f"{stem}.ppm").write_bytes(ppm[:-5] if kind == "truncated" else ppm)
+        unknown = kind == "unknown-class"
+        (root / f"{stem}.txt").write_text(
+            f"{'cog' if unknown else 'gear'} 4 4 20 20\n" if labelimg
+            else f"{7 if unknown else 1} 0.5 0.5 0.25 0.25\n")
+    return root
+
+
+def writing_argv(command, ds, out):
+    """argv of a command that writes the directory `out` (from dataset `ds`)."""
+    return {
+        "synth": ["synth", "--scenario", "1", "--count", str(len(STEMS)), "--out", out],
+        "augment": ["augment", ds, "--rotations", "0,90", "--floor", "0", "--out", out],
+        "encode": ["encode", ds, "--out", out],
+        "labels convert": ["labels", "convert", "--from", "labelimg", "--to", "yolo",
+                           "--dir", ds, "--classes", f"{ds}/classes.txt", "--out", out],
+    }[command]
+
+
+def files_of(directory):
+    """{name: bytes} of the files in `directory`, or None if it is absent."""
+    if not directory.exists():
+        return None
+    return {p.name: p.read_bytes() for p in directory.iterdir()}
+
+
+def stages_in(directory):
+    return sorted(p.name for p in directory.iterdir() if p.name.startswith(".yolokit-"))
+
+
+@pytest.mark.parametrize("out_exists", [False, True], ids=["absent", "existing"])
+@pytest.mark.parametrize("bad_at", [0, 1, 2], ids=["first", "middle", "last"])
+@pytest.mark.parametrize("command, bad_kind", [
+    ("synth", "raises"),
+    ("augment", "truncated"), ("augment", "unknown-class"),
+    ("encode", "truncated"), ("encode", "odd-size"), ("encode", "unknown-class"),
+    ("labels convert", "truncated"), ("labels convert", "unknown-class"),
+])
+def test_a_failed_write_leaves_out_as_it_was(tmp_path, monkeypatch, capsys, command,
+                                             bad_kind, bad_at, out_exists):
+    """A bad input first, in the middle or last makes each command that
+    writes a directory exit 2. `--out` stays absent, or holds exactly the
+    names and bytes it held, and no stage is left beside it."""
+    ds = three_image_dataset(tmp_path / "ds", bad_kind, bad_at,
+                             labelimg=command == "labels convert")
+    if bad_kind == "raises":
+        scene = data.scenario_scene
+
+        def failing_scene(scenario, index, seed, registry):
+            if index == bad_at:
+                raise data.PlacementError(f"scene {index} cannot be placed")
+            return scene(scenario, index, seed, registry)
+
+        monkeypatch.setattr(data, "scenario_scene", failing_scene)
+    out = tmp_path / "out"
+    if out_exists:
+        out.mkdir()
+        (out / "notes.txt").write_text("kept\n")
+        # a file the command would write first keeps its old bytes
+        first = {"encode": "a.h0", "labels convert": "a.txt"}.get(command, "classes.txt")
+        (out / first).write_bytes(b"old\n")
+    before = files_of(out)
+    assert cli.main(writing_argv(command, str(ds), str(out))) == 2
+    assert capsys.readouterr().err.startswith("yolokit: ")
+    assert files_of(out) == before
+    assert stages_in(tmp_path) == []
+
+
+@pytest.mark.parametrize("command", ["synth", "augment", "encode", "labels convert"])
+def test_a_staged_out_is_made_with_its_parents_and_never_over_a_file(tmp_path, capsys,
+                                                                     command):
+    """`--out` under missing directories is made with them; an `--out` that
+    is a regular file exits 3 and keeps its bytes; an existing `--out`
+    keeps the files the command does not write."""
+    ds = str(three_image_dataset(tmp_path / "ds", labelimg=command == "labels convert"))
+    blocked = tmp_path / "blocked"
+    blocked.write_bytes(b"a file\n")
+    assert cli.main(writing_argv(command, ds, str(blocked))) == 3
+    assert capsys.readouterr().err.startswith("yolokit: I/O error: ")
+    assert blocked.read_bytes() == b"a file\n"
+    nested = tmp_path / "new" / "deeper" / "out"
+    assert cli.main(writing_argv(command, ds, str(nested))) == 0
+    written = files_of(nested)
+    assert written
+    kept = tmp_path / "kept"
+    kept.mkdir()
+    (kept / "notes.txt").write_text("kept\n")
+    assert cli.main(writing_argv(command, ds, str(kept))) == 0
+    assert files_of(kept) == {**written, "notes.txt": b"kept\n"}
+    for parent in (tmp_path, nested.parent):
+        assert stages_in(parent) == []
 
 
 def test_the_literal_layout_copies_match_boxes(capsys):

@@ -814,12 +814,12 @@ def test_the_head_layout_is_set_in_one_place(monkeypatch, capsys, strides, slots
         assert len(raws) == slots * grids[-1] ** 2
         assert [raw.anchor for raw in raws[:slots]] == list(priors[-slots:])
 
-        # RunConfig's default anchors stay YOLOv4's nine, so the run config
-        # text is checked by its anchors line and `bench` gets its config
-        run = postprocess.RunConfig(anchors=priors)
-        line = postprocess.format_run_config(run).splitlines()[0]
-        assert postprocess._parse_anchors(line.removeprefix("anchors=")) == priors
-        monkeypatch.setattr(cli, "_load_config", lambda args: run)
+        # a RunConfig reads the default anchors when it is built, so the run
+        # config and `bench` follow the layout's priors
+        monkeypatch.setattr(postprocess, "DEFAULT_ANCHORS", priors)
+        assert postprocess.RunConfig().anchors == priors
+        assert postprocess.parse_run_config(postprocess.format_run_config(
+            postprocess.RunConfig())) == postprocess.RunConfig()
         assert cli.main(["bench", "--frames", "1", "--input", str(input_n)]) == 0
         assert f"candidates/frame: {candidates}\n" in capsys.readouterr().out
     finally:
