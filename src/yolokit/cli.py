@@ -112,13 +112,14 @@ def _write_text(path: str, text: str) -> None:
 
 @contextlib.contextmanager
 def _staged(out: str):
-    """Yield a fresh directory beside `out`; when the block ends, move its
-    files into `out` (made if missing). On an exception they are removed and
-    `out` is left as it was. `out`'s missing parents are made and stay."""
+    """Yield a fresh directory on `out`'s filesystem; its files move into
+    `out` when the block ends, and on an exception `out` is left as it was."""
     import tempfile
-    parent = os.path.dirname(os.path.realpath(out))  # same filesystem as out
-    os.makedirs(parent, exist_ok=True)
-    with tempfile.TemporaryDirectory(prefix=".yolokit-", dir=parent) as stage:
+    if os.path.lexists(out) and not os.path.isdir(out):
+        os.makedirs(out)  # FileExistsError before any input is read
+    where = out if os.path.isdir(out) else os.path.dirname(os.path.realpath(out))
+    os.makedirs(where, exist_ok=True)
+    with tempfile.TemporaryDirectory(prefix=".yolokit-", dir=where) as stage:
         yield stage
         os.makedirs(out, exist_ok=True)
         for name in os.listdir(stage):

@@ -1,5 +1,6 @@
 """End-to-end command-line flows driven through main(argv)."""
 
+import errno
 import json
 import os
 import subprocess
@@ -723,7 +724,7 @@ def test_a_failed_write_leaves_out_as_it_was(tmp_path, monkeypatch, capsys, comm
                                              bad_kind, bad_at, out_exists):
     """A bad input first, in the middle or last makes each command that
     writes a directory exit 2. `--out` stays absent, or holds exactly the
-    names and bytes it held, and no stage is left beside it."""
+    names and bytes it held, and no stage is left in it or beside it."""
     ds = three_image_dataset(tmp_path / "ds", bad_kind, bad_at,
                              labelimg=command == "labels convert")
     if bad_kind == "raises":
@@ -750,15 +751,23 @@ def test_a_failed_write_leaves_out_as_it_was(tmp_path, monkeypatch, capsys, comm
 
 
 @pytest.mark.parametrize("command", ["synth", "augment", "encode", "labels convert"])
-def test_a_staged_out_is_made_with_its_parents_and_never_over_a_file(tmp_path, capsys,
-                                                                     command):
+def test_a_staged_out_is_made_with_its_parents_and_never_over_a_file(tmp_path, monkeypatch,
+                                                                     capsys, command):
     """`--out` under missing directories is made with them; an `--out` that
-    is a regular file exits 3 and keeps its bytes; an existing `--out`
-    keeps the files the command does not write."""
-    ds = str(three_image_dataset(tmp_path / "ds", labelimg=command == "labels convert"))
+    is a regular file exits 3 before the first input is read, and keeps its
+    bytes; an existing `--out` keeps the files the command does not write."""
+    labelimg = command == "labels convert"
+    ds = str(three_image_dataset(tmp_path / "ds", labelimg=labelimg))
+    bad = str(three_image_dataset(tmp_path / "bad", "truncated", 0, labelimg=labelimg))
     blocked = tmp_path / "blocked"
     blocked.write_bytes(b"a file\n")
-    assert cli.main(writing_argv(command, ds, str(blocked))) == 3
+    with monkeypatch.context() as m:
+        def unplaceable(scenario, index, seed, registry):
+            raise data.PlacementError(f"scene {index} cannot be placed")
+
+        m.setattr(data, "scenario_scene", unplaceable)
+        # the first input is bad, so exit 3 shows --out was checked first
+        assert cli.main(writing_argv(command, bad, str(blocked))) == 3
     assert capsys.readouterr().err.startswith("yolokit: I/O error: ")
     assert blocked.read_bytes() == b"a file\n"
     nested = tmp_path / "new" / "deeper" / "out"
@@ -772,6 +781,37 @@ def test_a_staged_out_is_made_with_its_parents_and_never_over_a_file(tmp_path, c
     assert files_of(kept) == {**written, "notes.txt": b"kept\n"}
     for parent in (tmp_path, nested.parent):
         assert stages_in(parent) == []
+
+
+@pytest.mark.parametrize("command", ["synth", "augment", "encode", "labels convert"])
+def test_an_existing_out_holds_its_own_stage(tmp_path, monkeypatch, command):
+    """An existing `--out` is staged inside itself, so the moves stay on its
+    filesystem when it is a mount point, and its parent need not be
+    writable. Here `os.replace` fails as across filesystems for any move
+    into or out of `out`, and `out`'s parent is made read-only (which binds
+    only a user other than root)."""
+    ds = str(three_image_dataset(tmp_path / "ds", labelimg=command == "labels convert"))
+    parent = tmp_path / "parent"
+    out = parent / "out"
+    out.mkdir(parents=True)
+    (out / "notes.txt").write_text("kept\n")
+    replace = os.replace
+
+    def mounted_replace(src, dst):
+        if (out in Path(src).parents) != (out in Path(dst).parents):
+            raise OSError(errno.EXDEV, os.strerror(errno.EXDEV), src)
+        replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", mounted_replace)
+    parent.chmod(0o555)
+    try:
+        assert cli.main(writing_argv(command, ds, str(out))) == 0
+    finally:
+        parent.chmod(0o755)
+    written = files_of(out)
+    assert written.pop("notes.txt") == b"kept\n"
+    assert len(written) >= len(STEMS)
+    assert stages_in(parent) == []
 
 
 def test_the_literal_layout_copies_match_boxes(capsys):
