@@ -23,6 +23,7 @@ from yolokit.tensor import ConvParams, ShapeError, Tensor, conv2d, csp_block, \
     mish, residual_block
 
 from conftest import make_detection
+from contract import C10
 from oracles import (ap_ref, cfg_shapes_ref, color_coverage_ref, conv2d_ref,
                      csp_ref, decode_ref, map_ref, mish_ref, nms_ref)
 
@@ -408,6 +409,7 @@ def test_c10_end_to_end_pipeline(tmp_path):
         digests.append(digest.hexdigest())
         payloads.append(json.loads(report_path.read_text()))
     assert digests[0] == digests[1] == digests[2]
+    assert digests[0] == C10
     for payload in payloads:
         assert payload["map_50_95"] == 1.0
         assert payload["error_rate"] == 0.0

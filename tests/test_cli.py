@@ -157,6 +157,24 @@ def test_dump_config_round_trips_through_cli(tmp_path, capsys):
     assert postprocess.parse_run_config(out) == config
     assert out.splitlines()[1] == "confidence_threshold=0.3"
     assert len(out.splitlines()) == 4
+    # the dumped defaults read back as the same bytes, and encode as no config does
+    assert cli.main(["detect", "--dump-config"]) == 0
+    defaults = capsys.readouterr().out
+    assert len(defaults.splitlines()) == 4
+    path.write_text(defaults)
+    assert cli.main(["detect", "--config", str(path), "--dump-config"]) == 0
+    assert capsys.readouterr().out == defaults
+    ds = tiny_dataset(tmp_path / "ds")
+    assert cli.main(["encode", str(ds), "--out", str(tmp_path / "bare")]) == 0
+    assert cli.main(["encode", str(ds), "--config", str(path),
+                     "--out", str(tmp_path / "configured")]) == 0
+    assert files_of(tmp_path / "configured") == files_of(tmp_path / "bare")
+    capsys.readouterr()
+    # an anchor keeps every digit through the dump
+    path.write_text("anchors=12.3456789,16,19,36,40,28,36,75,76,55,72,146,142,110,"
+                    "192,243,459,401\n")
+    assert cli.main(["detect", "--config", str(path), "--dump-config"]) == 0
+    assert capsys.readouterr().out.startswith("anchors=12.3456789,16.0,19.0,")
 
 
 def test_one_confidence_threshold_reproduces_every_threshold_pair(tmp_path):
@@ -251,17 +269,19 @@ def test_pipeline_reaches_perfect_map(walkthrough, tmp_path, capsys):
     stems = sorted(p.stem for p in ds.glob("*.ppm"))
     assert stems == ["scene_000005", "scene_000006"]
     report_path = tmp_path / "report.json"
-    rc = cli.main(["eval", "--detections", str(dets_dir), "--truth", str(ds),
-                   "--scenario", "1", "--json", str(report_path)])
-    assert rc == 0
-    table = capsys.readouterr().out
-    assert "mAP" in table
-    payload = json.loads(report_path.read_text())
-    assert payload["map_50_95"] == 1.0
-    assert payload["error_rate"] == 0.0
-    assert payload["scenario"] == "single-class"
-    assert payload["total_images"] == 2
-    assert payload["confidence"]["min"] > 0.99
+    # a scenario by its number, and one by its name
+    for scenario, name in (("1", "single-class"), ("all-classes", "all-classes")):
+        rc = cli.main(["eval", "--detections", str(dets_dir), "--truth", str(ds),
+                       "--scenario", scenario, "--json", str(report_path)])
+        assert rc == 0
+        table = capsys.readouterr().out
+        assert "mAP" in table
+        payload = json.loads(report_path.read_text())
+        assert payload["map_50_95"] == 1.0
+        assert payload["error_rate"] == 0.0
+        assert payload["scenario"] == name
+        assert payload["total_images"] == 2
+        assert payload["confidence"]["min"] > 0.99
 
 
 def test_encode_writes_three_heads_per_image(tmp_path):
@@ -295,6 +315,13 @@ def test_detect_json_output(tmp_path, capsys):
     assert len(dets) == len(truth)
     for det in dets:
         assert set(det) >= {"class_name", "confidence", "box"}
+    # the JSON holds the detections of the text lines, in order
+    assert cli.main(["detect", "--heads", *head_files,
+                     "--classes", str(ds / "classes.txt")]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines == ["%s %.6f %.6f %.6f %.6f %.6f" % (
+        det["class_name"], det["confidence"], det["box"]["x_min"], det["box"]["y_min"],
+        det["box"]["x_max"], det["box"]["y_max"]) for det in dets]
 
 
 def test_detect_rejects_a_nan_box(tmp_path, capsys):
@@ -345,6 +372,29 @@ def test_detect_names_the_scale_of_a_head_with_the_wrong_channels(tmp_path, caps
     assert capsys.readouterr().err == (
         "yolokit: scale 1: head has 255 channels; 13 classes requires "
         "3*(4+1+13) = 54\n")
+
+
+def test_detect_names_a_nan_objectness_and_clips_an_infinite_one(walkthrough, tmp_path,
+                                                                  capsys):
+    """The objectness logit of cell (0, 0), slot 0 of the finest head: NaN
+    exits 2 naming it, and +inf writes the lines of the original head."""
+    ds, heads, dets = walkthrough
+    fine = cli.read_head_bytes((heads / "scene_000005.h0").read_bytes()).data.copy()
+    head_files = [tmp_path / "scene.h0", heads / "scene_000005.h1",
+                  heads / "scene_000005.h2"]
+    out = tmp_path / "scene.txt"
+    argv = ["detect", "--classes", str(ds / "classes.txt"),
+            "--heads", *map(str, head_files), "--out", str(out)]
+    fine[0, 0, 4] = np.nan
+    head_files[0].write_bytes(cli.write_head_bytes(Tensor(fine)))
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == (
+        "yolokit: scale 0, cell (0, 0), slot 0, channel 4: logit is nan\n")
+    assert not out.exists()
+    fine[0, 0, 4] = np.inf
+    head_files[0].write_bytes(cli.write_head_bytes(Tensor(fine)))
+    assert cli.main(argv) == 0
+    assert out.read_bytes() == (dets / "scene_000005.txt").read_bytes()
 
 
 def test_eval_reports_failures_with_exit_one(tmp_path, capsys):
@@ -452,8 +502,11 @@ def test_labels_csv_holds_one_image_at_a_time(tmp_path, capsys):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(capsys.readouterr().out.splitlines()) == 1 + 6 * 13
+    out = capsys.readouterr().out
+    assert len(out.splitlines()) == 1 + 6 * 13
     assert peak < 3 * image_bytes, peak / image_bytes
+    # the aggregate CSV parses back and writes the same bytes again
+    assert data.format_csv(data.parse_csv(out)) == out
 
 
 def test_labels_csv(tmp_path, capsys):
@@ -526,6 +579,21 @@ def test_augment_rejects_a_non_finite_or_repeated_variant(tmp_path, capsys):
         assert not out.exists()
 
 
+def test_augment_writes_every_turn_and_flip_of_each_image(walkthrough, tmp_path, capsys):
+    """Four quarter turns, each unflipped and flipped on either axis, of
+    two scenes are 24 images; a half turn and an x-flip is a y-flip, so
+    those two variants are written alike."""
+    ds, _, _ = walkthrough
+    out = tmp_path / "aug"
+    assert cli.main(["augment", str(ds), "--rotations", "0,90,180,270", "--flips", "h,v",
+                     "--floor", "1", "--out", str(out)]) == 0
+    assert "wrote 24 images" in capsys.readouterr().out
+    assert len(list(out.glob("*.ppm"))) == 24
+    for ext in ("ppm", "txt"):
+        assert (out / f"scene_000005_r180_fh.{ext}").read_bytes() == (
+            out / f"scene_000005_r0_fv.{ext}").read_bytes()
+
+
 def test_augment_reports_floor_breach(tmp_path, capsys):
     ds = tmp_path / "ds"
     ds.mkdir()
@@ -566,6 +634,10 @@ def test_exit_code_two_on_parse_error(tmp_path, capsys):
     assert cli.main(["netinfo", str(bad)]) == 2
     assert capsys.readouterr().err.startswith(
         f"yolokit: {bad}: line 4: [route] reference -5 resolves to layer -5")
+    for section in ("[route]\nlayers=abc\n", "[maxpool]\nsize=2\nstride=2\npadding=-1\n"):
+        bad.write_text("[net]\nwidth=32\nheight=32\n" + section)
+        assert cli.main(["netinfo", str(bad)]) == 2
+        assert capsys.readouterr().err.startswith(f"yolokit: {bad}: line 4: ")
     # a labelImg class missing from classes.txt, and a box of zero width
     for line, message in (("cog 1 1 20 20", "line 2: unknown class 'cog'"),
                           ("gear 3 3 3 9", "line 2: box (3.0, 3.0, 3.0, 9.0) has zero "
@@ -745,7 +817,12 @@ def test_a_failed_write_leaves_out_as_it_was(tmp_path, monkeypatch, capsys, comm
         (out / first).write_bytes(b"old\n")
     before = files_of(out)
     assert cli.main(writing_argv(command, str(ds), str(out))) == 2
-    assert capsys.readouterr().err.startswith("yolokit: ")
+    err = capsys.readouterr().err
+    assert err.startswith("yolokit: ")
+    if bad_kind != "raises":
+        # the message names the bad file
+        bad = ds / (STEMS[bad_at] + (".txt" if bad_kind == "unknown-class" else ".ppm"))
+        assert err.startswith(f"yolokit: {bad}: "), err
     assert files_of(out) == before
     assert stages_in(tmp_path) == []
 
@@ -869,6 +946,12 @@ def test_usage_errors_exit_two(tmp_path, capsys):
         assert cli.main(argv) == 2
         assert ("run.cfg: config line 1: unknown config key 'seed'"
                 in capsys.readouterr().err)
+    # the keys that confidence_threshold replaced are rejected by line
+    for key in ("objectness_threshold", "confidence_floor"):
+        config.write_text(f"{key}=0.3\n")
+        assert cli.main(["detect", "--config", str(config), "--dump-config"]) == 2
+        assert (f"run.cfg: config line 1: unknown config key '{key}'"
+                in capsys.readouterr().err)
     ds = tiny_dataset(tmp_path / "truth")
     for value in ("nan", "1.5", "-1"):
         rc = cli.main(["eval", "--detections", str(tmp_path / "dets"),
@@ -933,11 +1016,14 @@ def test_a_detect_process_loads_only_the_modules_detect_runs(walkthrough, tmp_pa
     ("netinfo", ["yolokit.cfg"]),
     ("synth", ["numpy", "yolokit.boxes", "yolokit.data"]),
     ("eval", DETECT_MODULES + ["yolokit.data", "yolokit.metrics"]),
+    ("netinfo --input", ["yolokit.cfg"]),
 ])
 def test_each_command_runs_from_a_fresh_process(walkthrough, tmp_path, command, extra):
     ds, _, dets = walkthrough
+    yolov4 = str(Path(cli.__file__).parent / "assets" / "yolov4.cfg")
     argv = {
-        "netinfo": ["netinfo", str(Path(cli.__file__).parent / "assets" / "yolov4.cfg")],
+        "netinfo": ["netinfo", yolov4],
+        "netinfo --input": ["netinfo", yolov4, "--input", "416"],
         "synth": ["synth", "--scenario", "2", "--count", "1",
                   "--out", str(tmp_path / "synth")],
         "eval": ["eval", "--detections", str(dets), "--truth", str(ds),

@@ -105,6 +105,8 @@ def test_ppm_header_tolerates_comments_and_whitespace():
     payload = img.pixels.tobytes()
     data = b"P6 # format\n# a comment line\n  2\t2 \n255\n" + payload
     assert read_ppm(data) == img
+    # a camera's header: a comment, then tab and vertical-tab separators
+    assert read_ppm(b"P6 # camera\n2\t2\x0b255\n" + payload) == img
 
 
 def test_ppm_errors():

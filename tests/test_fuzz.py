@@ -148,6 +148,7 @@ def run_cli(argv):
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(in_labels=st.booleans(), leading_blanks=st.integers(0, 2),
        at=st.integers(0, 2), corruption=st.sampled_from(CORRUPTIONS))
+@example(in_labels=True, leading_blanks=0, at=0, corruption=CORRUPTIONS[0])
 def test_cli_names_the_file_and_line_of_a_corrupt_record(
         dataset, in_labels, leading_blanks, at, corruption):
     truth, dets = dataset

@@ -582,6 +582,25 @@ def test_the_raw_logit_prefilter_keeps_every_slot_the_sigmoid_test_keeps(drawn):
     assert objectness.tobytes() == sigmoid(want).tobytes()
 
 
+def test_a_drop_threshold_at_the_sigmoid_error_margin_gates_nothing():
+    """At a drop threshold of exactly 2**-44, the prefilter's margin for
+    `sigmoid`'s error, the bound is -inf (log(0) would raise), and every
+    slot of a 32 px frame (63) reaches scoring as on the list path."""
+    drop = 2.0 ** -44
+    assert postprocess._logit_bound(drop) == -np.inf
+    rng = np.random.default_rng(44)
+    heads = [Tensor(rng.normal(0.0, 3.0, (g, g, 3 * 8))) for g in (4, 2, 1)]
+    config = DetectConfig(NmsConfig(drop, 0.45), drop)
+    names = ["a", "b", "c"]
+    raws = [raw for scale, head in enumerate(heads) for raw in extract_predictions(
+        head, NINE_ANCHORS[scale * 3:scale * 3 + 3], 3, 32, scale)]
+    assert len(raws) == 63
+    fast = detect_frame(heads, NINE_ANCHORS, config, names)
+    assert len(fast) > 0
+    assert fast == two_stage_filter(nms(score_predictions(raws, names), config.nms),
+                                    config.confidence_floor)
+
+
 @st.composite
 def box_logits(draw):
     """The heads of a 64 px frame (grids 8, 4 and 2, strides 8, 16 and 32)
